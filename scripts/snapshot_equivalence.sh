@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Snapshot/fork equivalence gate: the warmup checkpoint API must never
-# change a result byte. Three properties, each enforced with cmp:
+# change a result byte. Four properties, each enforced with cmp:
 #
 #   1. A memoized dump of the pinned golden matrix (every job its own
 #      warmup class: policies change warmup behavior) is byte-identical
@@ -10,6 +10,9 @@
 #      from-scratch dump, through both the dump and sharded-run paths.
 #   3. A memoized sweep runs its warmup exactly once for the whole wave
 #      and still commits byte-identical results.
+#   4. A class-contiguous memoized wave with more warmup classes than
+#      workers (warm-ahead recycles its slots) runs one warmup per
+#      class and commits byte-identical results.
 #
 # CI runs this on every PR; locally:
 #
@@ -64,6 +67,29 @@ grep -q "1 warmup(s) for 3 jobs" "$TMP/s_memo.err" || {
     exit 1
 }
 
+# 4. Class-contiguous, the order a nested loop produces: 5 golden jobs
+# (5 warmup classes) x 3 run lengths at 2 workers.
+for n in 2000 3000 4000; do
+    "$RUNNER" manifest --suite golden --insts "$n" --warmup 1000 \
+        2>/dev/null | head -n 5 > "$TMP/len_$n.jsonl"
+done
+for c in 1 2 3 4 5; do
+    for n in 2000 3000 4000; do
+        sed -n "${c}p" "$TMP/len_$n.jsonl"
+    done
+done > "$TMP/classes.jsonl"
+STSIM_JOBS=2 "$RUNNER" dump --manifest "$TMP/classes.jsonl" \
+    --out "$TMP/c_scratch.jsonl"
+STSIM_JOBS=2 "$RUNNER" dump --manifest "$TMP/classes.jsonl" \
+    --memoize-warmup --out "$TMP/c_memo.jsonl" 2> "$TMP/c_memo.err"
+cmp "$TMP/c_scratch.jsonl" "$TMP/c_memo.jsonl"
+grep -qxF "stsim_runner: 5 warmup(s) for 15 jobs (memoized)" \
+    "$TMP/c_memo.err" || {
+    echo "snapshot_equivalence: expected exactly 5 memoized warmups:" >&2
+    cat "$TMP/c_memo.err" >&2
+    exit 1
+}
+
 echo "snapshot_equivalence: memoized matrix, forked sweep (dump and" \
-     "sharded run), and memoized sweep are all bit-identical to" \
-     "from-scratch dumps"
+     "sharded run), memoized sweep and memoized multi-class wave are" \
+     "all bit-identical to from-scratch dumps"

@@ -39,26 +39,29 @@ reorderWindow(std::size_t workers)
 }
 
 /**
- * One warmup-equivalence class of a memoized wave: whichever of its
- * jobs starts first runs the warmup and publishes the snapshot; every
- * other job of the class waits for it, and every job (builder
- * included) forks a fresh Simulator from the snapshot. The builder is
- * never gate-blocked (it already passed the start gate), so waiting on
- * it cannot deadlock the reorder window.
+ * One warmup-equivalence class of a memoized wave. Its warmup runs
+ * exactly once, claimed under the wave mutex by whichever comes first:
+ * a warm-ahead item, which runs outside the reorder gate in class
+ * first-appearance order, or -- the fallback -- a gate-passed job of
+ * the class that finds it still Unbuilt. Every job of the class waits
+ * for the published snapshot and forks a fresh Simulator from it. A
+ * class is only ever claimed by a builder that is already running on
+ * a worker, so waiting on it cannot deadlock the pool or the window.
  */
 struct WarmupClass
 {
     enum class State : std::uint8_t
     {
         Unbuilt,  ///< nobody has claimed the warmup yet
-        Building, ///< a job is running the warmup now
+        Building, ///< a warm-ahead item or a job is running the warmup
         Ready,    ///< snapshot is published
-        Aborted,  ///< the builder threw; waiters must bail out
+        Aborted,  ///< the builder threw; the wave is aborting
     };
 
     State state = State::Unbuilt;
     std::string snapshot;
-    std::size_t remaining = 0; ///< jobs still needing the snapshot
+    std::size_t firstJob = 0;  ///< the job whose config the warmup runs
+    std::size_t remaining = 0; ///< jobs still to restore the snapshot
 };
 
 } // namespace
@@ -104,21 +107,50 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
         Simulator::programFor(names[i]);
     });
 
+    // In-order streaming commit with a bounded reorder window. A
+    // worker may not *start* job i until i is within `window` of the
+    // commit frontier, which caps the completed-but-unwritable set at
+    // `window` entries however large the wave is. The job at the
+    // frontier always passes the gate, so the oldest incomplete job is
+    // always running and the wave cannot deadlock. One mutex guards
+    // the gate, the commit and the memoized classes below.
+    std::mutex mu;
+    std::condition_variable gate;  // frontier advanced, or wave aborted
+    std::condition_variable built; // a class published, or wave aborted
+    std::size_t next = 0; // commit frontier (submission order)
+    std::map<std::size_t, SimResults> pending;
+    bool aborted = false; // a job threw: frontier will never advance
+    const std::size_t window = reorderWindow(pool.workers());
+
+    /**
+     * A job, warmup or sink threw (caller holds `mu`): the frontier
+     * will never advance, so release every worker blocked at the gate
+     * or on a class, or pool.wait() would deadlock instead of
+     * rethrowing.
+     */
+    auto abortLocked = [&] {
+        aborted = true;
+        gate.notify_all();
+        built.notify_all();
+    };
+
     // Memoized warmup: group the wave by warmup class up front. The
     // key computation is pure config serialization -- trivial next to
     // a single simulated cycle.
-    std::mutex cacheMu;
-    std::condition_variable cacheCv;
     std::vector<WarmupClass> classes;
     std::vector<std::size_t> jobClass(jobs.size(), 0);
+    std::size_t warmCursor = 0; // next class warm-ahead may claim
+    std::size_t resident = 0;   // claimed classes with jobs to restore
     if (opts.memoizeWarmup) {
         std::map<std::string, std::size_t> byKey;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             std::string key = Simulator::warmupClassKey(jobs[i].cfg);
             auto [it, inserted] =
                 byKey.emplace(std::move(key), classes.size());
-            if (inserted)
+            if (inserted) {
                 classes.emplace_back();
+                classes.back().firstJob = i;
+            }
             jobClass[i] = it->second;
             ++classes[it->second].remaining;
         }
@@ -134,85 +166,104 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     obs::Counter &jobsCompleted =
         obs::Registry::instance().counter("runjobs.jobs_completed");
 
-    /** Run job @p i forked from its class's (possibly fresh) warmup. */
-    auto runMemoized = [&](std::size_t i) {
-        WarmupClass &wc = classes[jobClass[i]];
-        bool builder = false;
-        {
-            std::unique_lock<std::mutex> lock(cacheMu);
-            if (wc.state == WarmupClass::State::Unbuilt) {
-                wc.state = WarmupClass::State::Building;
-                builder = true;
-            } else {
-                cacheCv.wait(lock, [&] {
-                    return wc.state == WarmupClass::State::Ready ||
-                           wc.state == WarmupClass::State::Aborted;
-                });
-                if (wc.state == WarmupClass::State::Aborted)
-                    throw JobCancelled();
-            }
-        }
-        if (builder)
+    /** Warm @p wc (already claimed by the caller) and publish it. */
+    auto buildClass = [&](WarmupClass &wc) {
+        try {
+            TRACE_SPAN("job.warmup");
+            if (cancel && cancel->cancelled())
+                throw JobCancelled();
+            Simulator warm(jobs[wc.firstJob].cfg);
+            warm.runWarmup(cancel);
+            std::string snap = warm.saveSnapshot();
+            std::lock_guard<std::mutex> lock(mu);
+            wc.snapshot = std::move(snap);
+            wc.state = WarmupClass::State::Ready;
+            ++stats.warmupsRun;
             memoMisses.inc();
-        else
-            memoHits.inc();
-        if (builder) {
-            try {
-                TRACE_SPAN("job.warmup");
-                Simulator warm(jobs[i].cfg);
-                warm.runWarmup(cancel);
-                std::string snap = warm.saveSnapshot();
-                std::lock_guard<std::mutex> lock(cacheMu);
-                wc.snapshot = std::move(snap);
-                wc.state = WarmupClass::State::Ready;
-                ++stats.warmupsRun;
-                cacheCv.notify_all();
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lock(cacheMu);
-                    wc.state = WarmupClass::State::Aborted;
-                }
-                cacheCv.notify_all();
-                throw;
-            }
+            built.notify_all();
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(mu);
+            wc.state = WarmupClass::State::Aborted;
+            abortLocked();
+            throw; // surfaces through pool.wait()
         }
-
-        // Every job of the class -- the builder included -- forks a
-        // fresh machine from the snapshot, so the restore path is
-        // exercised on all of them and memoized results are bitwise
-        // identical to scratch results. The snapshot string is stable
-        // here: it is only freed when the last job of the class
-        // decrements `remaining`, which cannot happen before this job
-        // has restored.
-        Simulator sim(jobs[i].cfg);
-        sim.restoreSnapshot(wc.snapshot);
-        SimResults r;
-        {
-            TRACE_SPAN("job.measure");
-            r = sim.run(cancel);
-        }
-        {
-            std::lock_guard<std::mutex> lock(cacheMu);
-            if (--wc.remaining == 0) {
-                wc.snapshot.clear();
-                wc.snapshot.shrink_to_fit();
-            }
-        }
-        return r;
     };
 
-    // In-order streaming commit with a bounded reorder window. A
-    // worker may not *start* job i until i is within `window` of the
-    // commit frontier, which caps the completed-but-unwritable set at
-    // `window` entries however large the wave is. The job at the
-    // frontier always passes the gate, so the oldest incomplete job is
-    // always running and the wave cannot deadlock.
-    std::mutex mu;
-    std::condition_variable gate;
-    std::size_t next = 0; // commit frontier (submission order)
-    std::map<std::size_t, SimResults> pending;
-    bool aborted = false; // a job threw: frontier will never advance
-    const std::size_t window = reorderWindow(pool.workers());
+    /**
+     * Warm classes ahead of need: claim the next Unbuilt class in
+     * first-appearance order while fewer than `workers` are resident,
+     * so a class-contiguous wave warms its next classes while the
+     * current one is still measuring. Warmups commit nothing, so they
+     * bypass the reorder gate.
+     */
+    auto warmAhead = [&] {
+        for (;;) {
+            WarmupClass *wc = nullptr;
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                while (warmCursor < classes.size() &&
+                       classes[warmCursor].state !=
+                           WarmupClass::State::Unbuilt) {
+                    ++warmCursor;
+                }
+                if (aborted || warmCursor == classes.size() ||
+                    resident >= pool.workers()) {
+                    return;
+                }
+                wc = &classes[warmCursor++];
+                wc->state = WarmupClass::State::Building;
+                ++resident;
+            }
+            buildClass(*wc);
+        }
+    };
+
+    /**
+     * Restore job @p i's class snapshot into @p sim, building the
+     * class first if warm-ahead has not claimed it yet (the fallback).
+     * Returns false once the wave has aborted. The last job of a class
+     * to restore frees the snapshot and its warm-ahead slot.
+     */
+    auto restoreMemoized = [&](std::size_t i, Simulator &sim) {
+        WarmupClass &wc = classes[jobClass[i]];
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            if (!aborted && wc.state == WarmupClass::State::Unbuilt) {
+                wc.state = WarmupClass::State::Building;
+                ++resident;
+                lock.unlock();
+                buildClass(wc);
+                lock.lock();
+            }
+            built.wait(lock, [&] {
+                return aborted || wc.state == WarmupClass::State::Ready;
+            });
+            if (aborted)
+                return false;
+        }
+        // The snapshot is stable here: only the last restore of the
+        // class frees it, and that cannot happen before this one.
+        sim.restoreSnapshot(wc.snapshot);
+        std::lock_guard<std::mutex> lock(mu);
+        if (--wc.remaining > 0) {
+            memoHits.inc(); // the warmup serves yet another job
+            return true;
+        }
+        wc.snapshot.clear();
+        wc.snapshot.shrink_to_fit();
+        --resident;
+        return true;
+    };
+
+    // Warm-ahead items go first in the pool's FIFO, one per class up to
+    // the worker count; after its commit, every memoized job refills
+    // any slot a finished class has freed.
+    if (opts.memoizeWarmup) {
+        const std::size_t ahead =
+            std::min<std::size_t>(classes.size(), pool.workers());
+        for (std::size_t k = 0; k < ahead; ++k)
+            pool.submit(warmAhead);
+    }
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         pool.submit([&, i] {
@@ -233,7 +284,14 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
                 if (cancel && cancel->cancelled())
                     throw JobCancelled();
                 if (opts.memoizeWarmup) {
-                    r = runMemoized(i);
+                    // Every job forks a fresh machine from the class
+                    // snapshot, so memoized results are bitwise
+                    // identical to scratch results.
+                    Simulator sim(jobs[i].cfg);
+                    if (!restoreMemoized(i, sim))
+                        return;
+                    TRACE_SPAN("job.measure");
+                    r = sim.run(cancel);
                 } else if (opts.fromSnapshot) {
                     Simulator sim(jobs[i].cfg);
                     sim.restoreSnapshot(*opts.fromSnapshot);
@@ -253,46 +311,48 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
                     r = sim.run(cancel);
                 }
             } catch (...) {
-                // This job's result will never reach `pending`, so the
-                // frontier is stuck: release every gate-blocked worker
-                // or pool.wait() would deadlock instead of rethrowing.
+                // This job's result will never reach `pending`.
                 {
                     std::lock_guard<std::mutex> lock(mu);
-                    aborted = true;
+                    abortLocked();
                 }
-                gate.notify_all();
                 throw; // surfaces through pool.wait()
             }
             r.experiment = jobs[i].experiment;
 
-            TRACE_SPAN("job.commit");
-            std::lock_guard<std::mutex> lock(mu);
-            if (aborted)
-                return;
-            if (!opts.memoizeWarmup && !opts.fromSnapshot)
-                ++stats.warmupsRun; // scratch jobs warm up themselves
-            jobsCompleted.inc();
-            pending.emplace(i, std::move(r));
-            stats.maxPending =
-                std::max(stats.maxPending, pending.size());
-            while (!pending.empty() && pending.begin()->first == next) {
-                // Consume the record before writing, and mark the
-                // abort while still holding the lock on a throwing
-                // write: no drain (they are serialized under `mu`,
-                // which also spares sinks their own locking) can ever
-                // re-attempt an index or commit past a failure.
-                SimResults out = std::move(pending.begin()->second);
-                pending.erase(pending.begin());
-                const std::size_t idx = next++;
-                gate.notify_all();
-                try {
-                    sink.write(idx, out);
-                } catch (...) {
-                    aborted = true;
+            {
+                TRACE_SPAN("job.commit");
+                std::lock_guard<std::mutex> lock(mu);
+                if (aborted)
+                    return;
+                if (!opts.memoizeWarmup && !opts.fromSnapshot)
+                    ++stats.warmupsRun; // scratch jobs warm up themselves
+                jobsCompleted.inc();
+                pending.emplace(i, std::move(r));
+                stats.maxPending =
+                    std::max(stats.maxPending, pending.size());
+                while (!pending.empty() &&
+                       pending.begin()->first == next) {
+                    // Consume the record before writing, and mark the
+                    // abort while still holding the lock on a throwing
+                    // write: no drain (they are serialized under `mu`,
+                    // which also spares sinks their own locking) can
+                    // ever re-attempt an index or commit past a
+                    // failure.
+                    SimResults out = std::move(pending.begin()->second);
+                    pending.erase(pending.begin());
+                    const std::size_t idx = next++;
                     gate.notify_all();
-                    throw; // lock released by unwinding
+                    try {
+                        sink.write(idx, out);
+                    } catch (...) {
+                        abortLocked();
+                        throw; // lock released by unwinding
+                    }
                 }
             }
+            if (opts.memoizeWarmup)
+                warmAhead();
         });
     }
     pool.wait();

@@ -67,8 +67,11 @@ struct RunOptions
      * the in-memory snapshot. Every job -- including the one that ran
      * the warmup -- restores into a fresh Simulator from the snapshot,
      * so a memoized wave is bitwise identical to a scratch wave; only
-     * the repeated warmups are saved. Snapshots are reference-counted
-     * and freed as soon as the last job of a class has restored.
+     * the repeated warmups are saved. Warmups run ahead of the reorder
+     * window, in class first-appearance order, for up to `workers`
+     * classes at a time; a job whose class nobody has claimed yet
+     * warms it itself. Snapshots are reference-counted and freed as
+     * soon as the last job of a class has restored.
      */
     bool memoizeWarmup = false;
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -256,7 +257,10 @@ struct CountingSink : ResultsSink
     }
 };
 
-/** Throws out of the serialized commit path at a chosen index. */
+/**
+ * Throws out of the serialized commit path at a chosen index and
+ * records every index committed before it.
+ */
 struct ThrowAtSink : ResultsSink
 {
     explicit ThrowAtSink(std::uint64_t at) : at_(at) {}
@@ -266,9 +270,11 @@ struct ThrowAtSink : ResultsSink
     {
         if (index == at_)
             throw std::runtime_error("sink failure");
+        written.push_back(index);
     }
 
     std::uint64_t at_;
+    std::vector<std::uint64_t> written; ///< serialized by runJobs
 };
 
 std::vector<SimJob>
@@ -358,4 +364,112 @@ TEST(RunJobsAbort, NullTokenAndUnfiredTokenAreHarmless)
     }
     for (std::size_t i = 0; i < jobs.size(); ++i)
         expectSameResults(plain[i], tokened[i]);
+}
+
+//
+// The same abort and cancel paths on memoized waves. Warm-ahead
+// warmups run outside the reorder gate, so a failure can now start in
+// a warmup while jobs wait on the class instead of the gate; every
+// blocked worker must still be released and nothing may commit past
+// the failure.
+//
+
+namespace
+{
+
+/**
+ * A class-contiguous memoized wave: @p classes warmup classes (one per
+ * benchmark) of @p perClass run lengths each.
+ */
+std::vector<SimJob>
+classContiguousJobs(std::size_t classes, std::size_t perClass,
+                    std::uint64_t warmup = 2'000)
+{
+    std::vector<SimJob> jobs;
+    const std::vector<std::string> &benches = Harness::benchmarks();
+    for (std::size_t c = 0; c < classes; ++c) {
+        for (std::size_t k = 0; k < perClass; ++k) {
+            SimJob j;
+            j.cfg = tinyConfig();
+            j.cfg.benchmark = benches[c % benches.size()];
+            j.cfg.warmupInstructions = warmup;
+            j.cfg.maxInstructions = 4'000 + 1'000 * k;
+            Experiment::byName("baseline").applyTo(j.cfg);
+            j.experiment = "baseline";
+            jobs.push_back(std::move(j));
+        }
+    }
+    return jobs;
+}
+
+RunOptions
+memoized(unsigned workers, const CancelToken *cancel = nullptr)
+{
+    RunOptions opts;
+    opts.workers = workers;
+    opts.cancel = cancel;
+    opts.memoizeWarmup = true;
+    return opts;
+}
+
+/** Exactly indices 0..n-1, in order: nothing past the failure. */
+void
+expectPrefix(const std::vector<std::uint64_t> &written, std::uint64_t n)
+{
+    ASSERT_EQ(written.size(), n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        EXPECT_EQ(written[i], i);
+}
+
+} // namespace
+
+TEST(RunJobsAbort, MemoizedPreCancelledTokenThrowsBeforeAnyCommit)
+{
+    CancelToken token;
+    token.cancel();
+    CountingSink sink;
+    EXPECT_THROW(runJobs(classContiguousJobs(6, 3), sink,
+                         memoized(2, &token)),
+                 JobCancelled);
+    EXPECT_EQ(sink.writes.load(), 0);
+}
+
+TEST(RunJobsAbort, MemoizedCancelMidWarmupReleasesBlockedWorkers)
+{
+    // Long warmups + window 1 + more workers than classes: warm-ahead
+    // holds two workers inside warmups, the frontier job waits on its
+    // class and the next job waits at the gate. Firing the token
+    // mid-warmup must surface JobCancelled promptly -- a missed
+    // release hangs this test.
+    ScopedEnv env("STSIM_REORDER_WINDOW", "1");
+    std::vector<SimJob> jobs = classContiguousJobs(2, 4, 50'000'000);
+    CancelToken token;
+    CountingSink sink;
+    std::thread firer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        token.cancel();
+    });
+    EXPECT_THROW(runJobs(jobs, sink, memoized(4, &token)), JobCancelled);
+    firer.join();
+    EXPECT_EQ(sink.writes.load(), 0);
+}
+
+TEST(RunJobsAbort, MemoizedThrowingSinkAtWindowOne)
+{
+    ScopedEnv env("STSIM_REORDER_WINDOW", "1");
+    ThrowAtSink sink(4);
+    EXPECT_THROW(runJobs(classContiguousJobs(6, 3), sink, memoized(4)),
+                 std::runtime_error);
+    expectPrefix(sink.written, 4);
+}
+
+TEST(RunJobsAbort, MemoizedThrowingSinkAtWindowTwiceWorkers)
+{
+    // The abort lands while later classes are still warming ahead and
+    // jobs of the current one wait on it.
+    ScopedEnv env("STSIM_REORDER_WINDOW", "8");
+    ThrowAtSink sink(4);
+    EXPECT_THROW(runJobs(classContiguousJobs(6, 3), sink, memoized(4)),
+                 std::runtime_error);
+    expectPrefix(sink.written, 4);
 }

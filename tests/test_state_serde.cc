@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <string>
 
 #include "common/logging.hh"
@@ -18,6 +19,7 @@
 #include "core/results_sink.hh"
 #include "core/simulator.hh"
 #include "core/state_serde.hh"
+#include "obs/metrics.hh"
 #include "throttle/policy.hh"
 
 using namespace stsim;
@@ -382,6 +384,57 @@ TEST(Snapshot, MemoizedWaveIsBitwiseIdenticalToScratch)
     for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(fingerprint(scratch[i]), fingerprint(memo[i]))
             << "job " << i;
+}
+
+TEST(Snapshot, MoreClassesThanWorkersWarmEachClassOnce)
+{
+    // Class-contiguous, the order a nested loop produces: 6 warmup
+    // classes x 3 run lengths at 2 workers, so warm-ahead must hand its
+    // two slots on as classes finish. Under the production window and
+    // the degenerate window 1 the wave runs one warmup per class, its
+    // memo counters agree, and every result matches scratch.
+    std::vector<SimJob> jobs;
+    for (const char *b : {"go", "crafty", "gcc"}) {
+        for (const char *exp : {"baseline", "C2"}) {
+            for (std::uint64_t n : {6'000u, 8'000u, 10'000u}) {
+                SimJob j;
+                j.cfg = smallConfig(exp);
+                j.cfg.benchmark = b;
+                j.cfg.maxInstructions = n;
+                j.experiment = exp;
+                jobs.push_back(std::move(j));
+            }
+        }
+    }
+    const std::size_t kClasses = 6;
+    std::vector<SimResults> scratch = runJobs(jobs, 2);
+
+    obs::Counter &hits =
+        obs::Registry::instance().counter("runjobs.warmup_memo_hits");
+    obs::Counter &misses =
+        obs::Registry::instance().counter("runjobs.warmup_memo_misses");
+    for (const char *window : {"", "1"}) {
+        SCOPED_TRACE(std::string("STSIM_REORDER_WINDOW=") + window);
+        if (*window)
+            setenv("STSIM_REORDER_WINDOW", window, 1);
+        const std::uint64_t hits0 = hits.value();
+        const std::uint64_t misses0 = misses.value();
+
+        std::vector<SimResults> memo(jobs.size());
+        CollectSink sink(memo);
+        RunOptions opts;
+        opts.workers = 2;
+        opts.memoizeWarmup = true;
+        StreamStats stats = runJobs(jobs, sink, opts);
+        unsetenv("STSIM_REORDER_WINDOW");
+
+        EXPECT_EQ(stats.warmupsRun, kClasses);
+        EXPECT_EQ(misses.value() - misses0, stats.warmupsRun);
+        EXPECT_EQ(hits.value() - hits0, jobs.size() - kClasses);
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            EXPECT_EQ(fingerprint(scratch[i]), fingerprint(memo[i]))
+                << "job " << i;
+    }
 }
 
 TEST(Snapshot, CorruptedFieldIsFatal)
