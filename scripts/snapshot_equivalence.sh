@@ -13,6 +13,10 @@
 #   4. A class-contiguous memoized wave with more warmup classes than
 #      workers (warm-ahead recycles its slots) runs one warmup per
 #      class and commits byte-identical results.
+#   5. One warmup class of power x run-length variants, whose jobs
+#      share measured trajectories as well as the warmup, commits
+#      byte-identical results through a memoized dump, a forked dump
+#      and a sharded run+merge, with exactly one warmup.
 #
 # CI runs this on every PR; locally:
 #
@@ -90,6 +94,48 @@ grep -qxF "stsim_runner: 5 warmup(s) for 15 jobs (memoized)" \
     exit 1
 }
 
+# 5. Power x length variants of one class: duplicate lengths, lengths
+# a few instructions apart, both gating styles, other idle factors and
+# clock frequencies (hex-float config fields edited in place).
+IDLE='s/"idleFactor":"[^"]*"/"idleFactor":"0x1.999999999999ap-5"/'
+CC0='s/"style":"cc3"/"style":"cc0"/'
+FREQ_LO='s/"frequencyHz":"[^"]*"/"frequencyHz":"0x1.dcd65p+29"/'
+IDLE_HI='s/"idleFactor":"[^"]*"/"idleFactor":"0x1.999999999999ap-3"/'
+FREQ_HI='s/"frequencyHz":"[^"]*"/"frequencyHz":"0x1.dcd65p+30"/'
+for n in 2000 2003 3000 3000; do
+    "$RUNNER" manifest --suite golden --insts "$n" --warmup 1000 \
+        2>/dev/null | head -n 1 > "$TMP/p_line.jsonl"
+    cat "$TMP/p_line.jsonl"
+    sed -e "$IDLE" "$TMP/p_line.jsonl"
+    sed -e "$CC0" -e "$FREQ_LO" "$TMP/p_line.jsonl"
+    sed -e "$IDLE_HI" -e "$FREQ_HI" "$TMP/p_line.jsonl"
+done > "$TMP/power.jsonl"
+P_JOBS=$(wc -l < "$TMP/power.jsonl")
+"$RUNNER" dump --manifest "$TMP/power.jsonl" --out "$TMP/p_scratch.jsonl"
+STSIM_JOBS=2 "$RUNNER" dump --manifest "$TMP/power.jsonl" \
+    --memoize-warmup --out "$TMP/p_memo.jsonl" 2> "$TMP/p_memo.err"
+cmp "$TMP/p_scratch.jsonl" "$TMP/p_memo.jsonl"
+grep -qxF "stsim_runner: 1 warmup(s) for $P_JOBS jobs (memoized)" \
+    "$TMP/p_memo.err" || {
+    echo "snapshot_equivalence: expected exactly 1 memoized warmup:" >&2
+    cat "$TMP/p_memo.err" >&2
+    exit 1
+}
+"$RUNNER" snapshot --manifest "$TMP/power.jsonl" --index 0 \
+    --out "$TMP/p_warm.snap"
+"$RUNNER" dump --manifest "$TMP/power.jsonl" \
+    --from-snapshot "$TMP/p_warm.snap" --out "$TMP/p_fork.jsonl"
+cmp "$TMP/p_scratch.jsonl" "$TMP/p_fork.jsonl"
+"$RUNNER" run --manifest "$TMP/power.jsonl" --shard 0/2 \
+    --memoize-warmup --out "$TMP/p_shard0.jsonl" 2>/dev/null
+"$RUNNER" run --manifest "$TMP/power.jsonl" --shard 1/2 \
+    --from-snapshot "$TMP/p_warm.snap" --out "$TMP/p_shard1.jsonl"
+"$RUNNER" merge --out "$TMP/p_merged.jsonl" \
+    --manifest "$TMP/power.jsonl" "$TMP/p_shard0.jsonl" \
+    "$TMP/p_shard1.jsonl"
+cmp "$TMP/p_scratch.jsonl" "$TMP/p_merged.jsonl"
+
 echo "snapshot_equivalence: memoized matrix, forked sweep (dump and" \
-     "sharded run), memoized sweep and memoized multi-class wave are" \
-     "all bit-identical to from-scratch dumps"
+     "sharded run), memoized sweep, memoized multi-class wave and" \
+     "shared-trajectory power sweep are all bit-identical to" \
+     "from-scratch dumps"

@@ -39,29 +39,43 @@ reorderWindow(std::size_t workers)
 }
 
 /**
- * One warmup-equivalence class of a memoized wave. Its warmup runs
- * exactly once, claimed under the wave mutex by whichever comes first:
- * a warm-ahead item, which runs outside the reorder gate in class
- * first-appearance order, or -- the fallback -- a gate-passed job of
- * the class that finds it still Unbuilt. Every job of the class waits
- * for the published snapshot and forks a fresh Simulator from it. A
- * class is only ever claimed by a builder that is already running on
- * a worker, so waiting on it cannot deadlock the pool or the window.
+ * One warmup-equivalence class of a trajectory wave. On a fromSnapshot
+ * wave every class starts Ready on a copy of the caller's snapshot. On a memoized
+ * wave its warmup runs exactly once, claimed under the wave mutex by
+ * whichever comes first: a warm-ahead item, which runs outside the
+ * reorder gate in class first-appearance order, or -- the fallback --
+ * a gate-passed trajectory of the class that finds it still Unbuilt.
+ * Every trajectory of the class waits for the published snapshot and
+ * forks a fresh Simulator from it. A class is only ever claimed by a
+ * builder that is already running on a worker, so waiting on it
+ * cannot deadlock the pool or the window.
  */
 struct WarmupClass
 {
     enum class State : std::uint8_t
     {
         Unbuilt,  ///< nobody has claimed the warmup yet
-        Building, ///< a warm-ahead item or a job is running the warmup
+        Building, ///< a warm-ahead item or a trajectory is warming it
         Ready,    ///< snapshot is published
         Aborted,  ///< the builder threw; the wave is aborting
     };
 
     State state = State::Unbuilt;
-    std::string snapshot;
+    std::string snapshot; ///< what the class's trajectories restore
     std::size_t firstJob = 0;  ///< the job whose config the warmup runs
-    std::size_t remaining = 0; ///< jobs still to restore the snapshot
+    std::size_t remaining = 0; ///< jobs whose trajectory has not restored
+};
+
+/**
+ * The jobs of one work item, which ride a single simulated trajectory:
+ * one job on a scratch wave; on a trajectory wave, at most `window`
+ * jobs of one class, in submission order, spanning fewer than
+ * `lookahead` indices.
+ */
+struct TrajectoryItem
+{
+    std::size_t cls = 0;
+    std::vector<std::size_t> jobs;
 };
 
 } // namespace
@@ -85,6 +99,8 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
                  "exclusive");
     unsigned workers = opts.workers;
     const CancelToken *cancel = opts.cancel;
+    const bool memoize = opts.memoizeWarmup;
+    const bool shared = memoize || opts.fromSnapshot;
     StreamStats stats;
     if (jobs.empty()) {
         sink.flush();
@@ -108,12 +124,14 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     });
 
     // In-order streaming commit with a bounded reorder window. A
-    // worker may not *start* job i until i is within `window` of the
-    // commit frontier, which caps the completed-but-unwritable set at
-    // `window` entries however large the wave is. The job at the
-    // frontier always passes the gate, so the oldest incomplete job is
-    // always running and the wave cannot deadlock. One mutex guards
-    // the gate, the commit and the memoized classes below.
+    // worker may not *start* work whose last job lies `lookahead` or
+    // more past the commit frontier, which caps the completed-but-
+    // unwritable set at `lookahead` entries however large the wave is.
+    // Scratch jobs are single-job work items with lookahead == window.
+    // A trajectory item spans fewer than `lookahead` indices, so the
+    // item holding the frontier job always passes the gate, the oldest
+    // incomplete job is always running and the wave cannot deadlock.
+    // One mutex guards the gate, the commit and the classes below.
     std::mutex mu;
     std::condition_variable gate;  // frontier advanced, or wave aborted
     std::condition_variable built; // a class published, or wave aborted
@@ -121,6 +139,8 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     std::map<std::size_t, SimResults> pending;
     bool aborted = false; // a job threw: frontier will never advance
     const std::size_t window = reorderWindow(pool.workers());
+    const std::size_t lookahead =
+        shared ? window * pool.workers() : window;
 
     /**
      * A job, warmup or sink threw (caller holds `mu`): the frontier
@@ -134,14 +154,69 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
         built.notify_all();
     };
 
-    // Memoized warmup: group the wave by warmup class up front. The
-    // key computation is pure config serialization -- trivial next to
-    // a single simulated cycle.
+    /** Wait until job @p last may start; false once the wave aborted. */
+    auto passGate = [&](std::size_t last) {
+        TRACE_SPAN("job.queued");
+        std::unique_lock<std::mutex> lock(mu);
+        gate.wait(lock,
+                  [&] { return aborted || last < next + lookahead; });
+        return !aborted;
+    };
+
+    // Lifecycle accounting lives at job granularity: one counter inc
+    // or span per job or trajectory, never per instruction, so the
+    // engine's hot path is untouched and results cannot be perturbed.
+    obs::Counter &memoHits =
+        obs::Registry::instance().counter("runjobs.warmup_memo_hits");
+    obs::Counter &memoMisses =
+        obs::Registry::instance().counter("runjobs.warmup_memo_misses");
+    obs::Counter &jobsCompleted =
+        obs::Registry::instance().counter("runjobs.jobs_completed");
+    obs::Counter &trajectories =
+        obs::Registry::instance().counter("runjobs.trajectories");
+
+    /** Hand job @p i's result to the in-order commit. */
+    auto commit = [&](std::size_t i, SimResults &&r) {
+        r.experiment = jobs[i].experiment;
+        TRACE_SPAN("job.commit");
+        std::lock_guard<std::mutex> lock(mu);
+        if (aborted)
+            return;
+        jobsCompleted.inc();
+        pending.emplace(i, std::move(r));
+        stats.maxPending = std::max(stats.maxPending, pending.size());
+        while (!pending.empty() && pending.begin()->first == next) {
+            // Consume the record before writing, and mark the abort
+            // while still holding the lock on a throwing write: no
+            // drain (they are serialized under `mu`, which also spares
+            // sinks their own locking) can ever re-attempt an index or
+            // commit past a failure.
+            SimResults out = std::move(pending.begin()->second);
+            pending.erase(pending.begin());
+            const std::size_t idx = next++;
+            gate.notify_all();
+            try {
+                sink.write(idx, out);
+            } catch (...) {
+                abortLocked();
+                throw; // lock released by unwinding
+            }
+        }
+    };
+
+    // Work items, in submission order of their first job. A scratch
+    // wave runs one job per item. A trajectory wave groups its jobs by
+    // warmup class up front (the key computation is pure config
+    // serialization -- trivial next to a single simulated cycle), then
+    // cuts each class into items of up to `window` jobs.
     std::vector<WarmupClass> classes;
-    std::vector<std::size_t> jobClass(jobs.size(), 0);
-    std::size_t warmCursor = 0; // next class warm-ahead may claim
-    std::size_t resident = 0;   // claimed classes with jobs to restore
-    if (opts.memoizeWarmup) {
+    std::vector<TrajectoryItem> items;
+    if (!shared) {
+        items.reserve(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            items.push_back({0, {i}});
+    } else {
+        std::vector<std::size_t> jobClass(jobs.size(), 0);
         std::map<std::string, std::size_t> byKey;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             std::string key = Simulator::warmupClassKey(jobs[i].cfg);
@@ -150,21 +225,29 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
             if (inserted) {
                 classes.emplace_back();
                 classes.back().firstJob = i;
+                if (opts.fromSnapshot) {
+                    classes.back().snapshot = *opts.fromSnapshot;
+                    classes.back().state = WarmupClass::State::Ready;
+                }
             }
             jobClass[i] = it->second;
             ++classes[it->second].remaining;
         }
+        constexpr std::size_t kNone = ~std::size_t{0};
+        std::vector<std::size_t> open(classes.size(), kNone);
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            std::size_t &o = open[jobClass[i]];
+            if (o == kNone || items[o].jobs.size() == window ||
+                i - items[o].jobs.front() >= lookahead) {
+                o = items.size();
+                items.push_back({jobClass[i], {}});
+            }
+            items[o].jobs.push_back(i);
+        }
     }
 
-    // Lifecycle accounting lives at job granularity: one counter inc
-    // or span per job, never per instruction, so the engine's hot
-    // path is untouched and results cannot be perturbed.
-    obs::Counter &memoHits =
-        obs::Registry::instance().counter("runjobs.warmup_memo_hits");
-    obs::Counter &memoMisses =
-        obs::Registry::instance().counter("runjobs.warmup_memo_misses");
-    obs::Counter &jobsCompleted =
-        obs::Registry::instance().counter("runjobs.jobs_completed");
+    std::size_t warmCursor = 0; // next class warm-ahead may claim
+    std::size_t resident = 0;   // claimed classes with jobs to restore
 
     /** Warm @p wc (already claimed by the caller) and publish it. */
     auto buildClass = [&](WarmupClass &wc) {
@@ -219,13 +302,14 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
     };
 
     /**
-     * Restore job @p i's class snapshot into @p sim, building the
-     * class first if warm-ahead has not claimed it yet (the fallback).
-     * Returns false once the wave has aborted. The last job of a class
-     * to restore frees the snapshot and its warm-ahead slot.
+     * Restore @p item's class snapshot into @p sim, building the class
+     * first if warm-ahead has not claimed it yet (the fallback).
+     * Returns false once the wave has aborted. The last trajectory of
+     * a class to restore frees the snapshot and, on a memoized wave,
+     * its warm-ahead slot.
      */
-    auto restoreMemoized = [&](std::size_t i, Simulator &sim) {
-        WarmupClass &wc = classes[jobClass[i]];
+    auto restoreClass = [&](const TrajectoryItem &item, Simulator &sim) {
+        WarmupClass &wc = classes[item.cls];
         {
             std::unique_lock<std::mutex> lock(mu);
             if (!aborted && wc.state == WarmupClass::State::Unbuilt) {
@@ -245,118 +329,84 @@ runJobs(const std::vector<SimJob> &jobs, ResultsSink &sink,
         // class frees it, and that cannot happen before this one.
         sim.restoreSnapshot(wc.snapshot);
         std::lock_guard<std::mutex> lock(mu);
-        if (--wc.remaining > 0) {
-            memoHits.inc(); // the warmup serves yet another job
-            return true;
+        wc.remaining -= item.jobs.size();
+        const bool last = wc.remaining == 0;
+        if (last) {
+            wc.snapshot.clear();
+            wc.snapshot.shrink_to_fit();
         }
-        wc.snapshot.clear();
-        wc.snapshot.shrink_to_fit();
-        --resident;
+        if (memoize) {
+            // Every job the warmup serves but the class's last is a hit.
+            memoHits.inc(item.jobs.size() - (last ? 1 : 0));
+            if (last)
+                --resident;
+        }
         return true;
     };
 
     // Warm-ahead items go first in the pool's FIFO, one per class up to
-    // the worker count; after its commit, every memoized job refills
-    // any slot a finished class has freed.
-    if (opts.memoizeWarmup) {
+    // the worker count; after its trajectory, every item refills any
+    // slot a finished class has freed.
+    if (memoize) {
         const std::size_t ahead =
             std::min<std::size_t>(classes.size(), pool.workers());
         for (std::size_t k = 0; k < ahead; ++k)
             pool.submit(warmAhead);
     }
 
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        pool.submit([&, i] {
-            {
-                TRACE_SPAN("job.queued");
-                std::unique_lock<std::mutex> lock(mu);
-                gate.wait(lock,
-                          [&] { return aborted || i < next + window; });
-                if (aborted)
-                    return;
-            }
-            SimResults r;
+    for (const TrajectoryItem &item : items) {
+        pool.submit([&] {
+            if (!passGate(item.jobs.back()))
+                return;
             try {
-                // The upfront check makes cancellation prompt for jobs
-                // that have not started; the token handed to run()
-                // covers the frontier job, which always holds a
+                // The upfront check makes cancellation prompt for items
+                // that have not started; the token handed to the run
+                // covers the frontier item, which always holds a
                 // worker, so a fired token always surfaces.
                 if (cancel && cancel->cancelled())
                     throw JobCancelled();
-                if (opts.memoizeWarmup) {
-                    // Every job forks a fresh machine from the class
-                    // snapshot, so memoized results are bitwise
-                    // identical to scratch results.
-                    Simulator sim(jobs[i].cfg);
-                    if (!restoreMemoized(i, sim))
+                Simulator sim(jobs[item.jobs.front()].cfg);
+                if (shared) {
+                    // Every trajectory forks a fresh machine from the
+                    // class snapshot and stops each job exactly where
+                    // its own run() would, so results are bitwise
+                    // identical to scratch.
+                    if (!restoreClass(item, sim))
                         return;
-                    TRACE_SPAN("job.measure");
-                    r = sim.run(cancel);
-                } else if (opts.fromSnapshot) {
-                    Simulator sim(jobs[i].cfg);
-                    sim.restoreSnapshot(*opts.fromSnapshot);
-                    TRACE_SPAN("job.measure");
-                    r = sim.run(cancel);
                 } else {
-                    // Warmup and measurement run as two explicit
-                    // phases on one machine; runWarmup() is a no-op-
-                    // if-done prefix of run(), so this is the same
-                    // simulation whether or not anyone is tracing.
-                    Simulator sim(jobs[i].cfg);
-                    {
-                        TRACE_SPAN("job.warmup");
-                        sim.runWarmup(cancel);
-                    }
-                    TRACE_SPAN("job.measure");
-                    r = sim.run(cancel);
+                    // Warmup and measurement run as two explicit phases
+                    // on one machine; runWarmup() is a no-op-if-done
+                    // prefix of the run, so this is the same simulation
+                    // whether or not anyone is tracing.
+                    TRACE_SPAN("job.warmup");
+                    sim.runWarmup(cancel);
                 }
+                std::vector<const SimConfig *> cfgs;
+                cfgs.reserve(item.jobs.size());
+                for (std::size_t i : item.jobs)
+                    cfgs.push_back(&jobs[i].cfg);
+                trajectories.inc();
+                TRACE_SPAN("job.measure");
+                sim.runVariants(
+                    cfgs,
+                    [&](std::size_t k, SimResults &&r) {
+                        commit(item.jobs[k], std::move(r));
+                    },
+                    cancel);
             } catch (...) {
-                // This job's result will never reach `pending`.
-                {
-                    std::lock_guard<std::mutex> lock(mu);
-                    abortLocked();
-                }
+                // Results of this item past the failure never commit.
+                std::lock_guard<std::mutex> lock(mu);
+                abortLocked();
                 throw; // surfaces through pool.wait()
             }
-            r.experiment = jobs[i].experiment;
-
-            {
-                TRACE_SPAN("job.commit");
-                std::lock_guard<std::mutex> lock(mu);
-                if (aborted)
-                    return;
-                if (!opts.memoizeWarmup && !opts.fromSnapshot)
-                    ++stats.warmupsRun; // scratch jobs warm up themselves
-                jobsCompleted.inc();
-                pending.emplace(i, std::move(r));
-                stats.maxPending =
-                    std::max(stats.maxPending, pending.size());
-                while (!pending.empty() &&
-                       pending.begin()->first == next) {
-                    // Consume the record before writing, and mark the
-                    // abort while still holding the lock on a throwing
-                    // write: no drain (they are serialized under `mu`,
-                    // which also spares sinks their own locking) can
-                    // ever re-attempt an index or commit past a
-                    // failure.
-                    SimResults out = std::move(pending.begin()->second);
-                    pending.erase(pending.begin());
-                    const std::size_t idx = next++;
-                    gate.notify_all();
-                    try {
-                        sink.write(idx, out);
-                    } catch (...) {
-                        abortLocked();
-                        throw; // lock released by unwinding
-                    }
-                }
-            }
-            if (opts.memoizeWarmup)
+            if (memoize)
                 warmAhead();
         });
     }
     pool.wait();
     sink.flush();
+    if (!shared)
+        stats.warmupsRun = jobs.size(); // scratch jobs warm themselves
     return stats;
 }
 

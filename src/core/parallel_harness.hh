@@ -37,17 +37,20 @@ struct StreamStats
 {
     /**
      * High-water mark of results held for in-order commit. Bounded by
-     * the reorder window (a small multiple of the worker count), never
-     * by the number of jobs -- the "streaming, not accumulating"
-     * guarantee a big sweep relies on.
+     * the reorder window (a small multiple of the worker count) on a
+     * scratch wave, and by workers x window on a memoized or
+     * fromSnapshot wave, whose work items are trajectories of up to a
+     * window of jobs each -- never by the number of jobs or the size
+     * of a class: the "streaming, not accumulating" guarantee a big
+     * sweep relies on.
      */
     std::size_t maxPending = 0;
 
     /**
-     * Warmup phases actually executed (memoized waves only; equals the
-     * job count otherwise). With memoization this is the number of
-     * distinct warmup-equivalence classes -- at most one warmup per
-     * class, which is the memoization win being measured.
+     * Warmup phases actually executed: the job count on a scratch
+     * wave, none on a fromSnapshot wave. With memoization this is the
+     * number of distinct warmup-equivalence classes -- at most one
+     * warmup per class, which is the memoization win being measured.
      */
     std::size_t warmupsRun = 0;
 };
@@ -63,25 +66,31 @@ struct RunOptions
 
     /**
      * Warmup once per warmup-equivalence class
-     * (Simulator::warmupClassKey) and fork every job of the class from
-     * the in-memory snapshot. Every job -- including the one that ran
-     * the warmup -- restores into a fresh Simulator from the snapshot,
-     * so a memoized wave is bitwise identical to a scratch wave; only
-     * the repeated warmups are saved. Warmups run ahead of the reorder
-     * window, in class first-appearance order, for up to `workers`
-     * classes at a time; a job whose class nobody has claimed yet
-     * warms it itself. Snapshots are reference-counted and freed as
-     * soon as the last job of a class has restored.
+     * (Simulator::warmupClassKey) and fork the class's jobs from the
+     * in-memory snapshot. Jobs of one class also share the measured
+     * prefix: up to a reorder window of them, close together in
+     * submission order, ride one trajectory item -- one restore into a
+     * fresh Simulator and one Simulator::runVariants() run that stops
+     * each job exactly where its own run() would. A memoized wave is
+     * therefore bitwise identical to a scratch wave. Warmups run ahead
+     * of the reorder window, in class first-appearance order, for up
+     * to `workers` classes at a time; a trajectory whose class nobody
+     * has claimed yet warms it itself. Snapshots are reference-counted
+     * and freed as soon as the last trajectory of a class has
+     * restored.
      */
     bool memoizeWarmup = false;
 
     /**
      * Fork every job of the wave from this pre-warmed snapshot
      * (Simulator::saveSnapshot image) instead of running its own
-     * warmup. All jobs must share the snapshot's warmup class
+     * warmup, on the same trajectory items as memoizeWarmup. All jobs
+     * must share the snapshot's warmup class
      * (Simulator::restoreSnapshot fatals otherwise), the pointed-to
      * string must outlive the wave, and the option is mutually
-     * exclusive with memoizeWarmup.
+     * exclusive with memoizeWarmup. A snapshot taken mid-measure
+     * carries its power accumulators into every job, as a per-job
+     * restoreSnapshot() + run() would.
      */
     const std::string *fromSnapshot = nullptr;
 };
@@ -90,11 +99,13 @@ struct RunOptions
  * Run every job on a RunPool, committing each result to @p sink in
  * submission order as soon as its contiguous prefix has completed.
  *
- * Each job constructs its own Simulator, so the only shared state is
- * the read-mostly program cache (internally synchronized). Results
- * are independent of @p workers. Workers that run too far ahead of
- * the in-order commit frontier are paused (bounded reorder window),
- * which caps held results without limiting steady-state parallelism.
+ * Each work item (a job, or a trajectory of jobs on a memoized or
+ * fromSnapshot wave) constructs its own Simulator, so the only shared
+ * state is the read-mostly program cache (internally synchronized).
+ * Results are independent of @p workers. Workers that run too far
+ * ahead of the in-order commit frontier are paused (bounded reorder
+ * window), which caps held results without limiting steady-state
+ * parallelism.
  *
  * sink.write() calls are serialized and in submission order;
  * sink.flush() runs once after the last write.

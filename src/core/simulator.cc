@@ -1,8 +1,10 @@
 #include "simulator.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <vector>
 
 #include "common/logging.hh"
 #include "confidence/bpru.hh"
@@ -138,9 +140,12 @@ Simulator::~Simulator() = default;
 SimResults
 Simulator::run(const CancelToken *cancel)
 {
-    if (phase_ == Phase::Warmup)
-        runWarmup(cancel);
-    return runMeasure(cancel);
+    SimResults r;
+    const SimConfig *self = &cfg_;
+    runVariants({&self, 1},
+                [&](std::size_t, SimResults &&v) { r = std::move(v); },
+                cancel);
+    return r;
 }
 
 void
@@ -171,66 +176,116 @@ Simulator::runWarmup(const CancelToken *cancel)
     phase_ = Phase::Measure;
 }
 
-SimResults
-Simulator::runMeasure(const CancelToken *cancel)
+void
+Simulator::runVariants(std::span<const SimConfig *const> variants,
+                       const VariantFn &onResult,
+                       const CancelToken *cancel)
 {
-    stsim_assert(phase_ == Phase::Measure,
-                 "runMeasure before warmup completed");
-    constexpr Cycle kCancelPollMask = 2047;
-    auto pollCancel = [&] {
-        if (cancel && (core_->now() & kCancelPollMask) == 0 &&
-            cancel->cancelled()) {
-            throw JobCancelled();
-        }
-    };
+    if (phase_ == Phase::Warmup)
+        runWarmup(cancel);
 
-    const Cycle max_cycles =
-        static_cast<Cycle>(cfg_.maxInstructions) * 64 + 1'000'000;
-    Cycle start = core_->now();
-    while (core_->stats().committedInsts < cfg_.maxInstructions) {
-        core_->tick();
-        pollCancel();
-        if (core_->now() - start > max_cycles)
-            stsim_panic("simulation ran away: %llu cycles for %llu insts",
-                        static_cast<unsigned long long>(core_->now() -
-                                                        start),
-                        static_cast<unsigned long long>(
-                            core_->stats().committedInsts));
+    // One power model per variant: this machine's own when the
+    // parameters match (always so for run()), else an observer that
+    // starts from the current accumulators. Reserved up front so the
+    // observer addresses stay stable.
+    std::vector<PowerModel> observers;
+    observers.reserve(variants.size());
+    std::vector<const PowerModel *> power(variants.size(), power_.get());
+    struct Detach
+    {
+        PowerModel &p;
+        ~Detach() { p.clearObservers(); }
+    } detach{*power_};
+    std::string key;
+    for (std::size_t k = 0; k < variants.size(); ++k) {
+        if (variants[k] == &cfg_)
+            continue;
+        SimConfig v = *variants[k];
+        v.finalize();
+        if (key.empty())
+            key = warmupClassKey(cfg_);
+        stsim_assert(warmupClassKey(v) == key,
+                     "variant %zu is not in this machine's warmup class",
+                     k);
+        if (v.power == cfg_.power)
+            continue;
+        PowerModel &o = observers.emplace_back(v.power);
+        o.copyAccumulators(*power_);
+        power_->addObserver(o);
+        power[k] = &o;
     }
 
+    std::vector<std::size_t> order(variants.size());
+    for (std::size_t k = 0; k < order.size(); ++k)
+        order[k] = k;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return variants[a]->maxInstructions <
+                                variants[b]->maxInstructions;
+                     });
+
+    constexpr Cycle kCancelPollMask = 2047;
+    const Cycle start = core_->now();
+    for (std::size_t s = 0; s < order.size();) {
+        const std::uint64_t target = variants[order[s]]->maxInstructions;
+        const Cycle max_cycles =
+            static_cast<Cycle>(target) * 64 + 1'000'000;
+        while (core_->stats().committedInsts < target) {
+            core_->tick();
+            if (cancel && (core_->now() & kCancelPollMask) == 0 &&
+                cancel->cancelled()) {
+                throw JobCancelled();
+            }
+            if (core_->now() - start > max_cycles)
+                stsim_panic(
+                    "simulation ran away: %llu cycles for %llu insts",
+                    static_cast<unsigned long long>(core_->now() - start),
+                    static_cast<unsigned long long>(
+                        core_->stats().committedInsts));
+        }
+        // Every variant whose length this tick reached stops here: the
+        // tick before it, committedInsts was still below `target`.
+        for (; s < order.size() && variants[order[s]]->maxInstructions <=
+                                       core_->stats().committedInsts;
+             ++s) {
+            onResult(order[s], collect(*power[order[s]]));
+        }
+    }
+
+    // Flush the core's plain hot-path counters into the process-wide
+    // registry once per trajectory; the pipeline itself never touches
+    // an atomic, and results are unaffected (observability only).
+    const Core::HotCounters &h = core_->hotCounters();
+    obs::Registry &reg = obs::Registry::instance();
+    reg.counter("core.fetch_groups").inc(h.fetchGroups);
+    reg.counter("core.producer_table_hits").inc(h.producerHits);
+    reg.counter("core.producer_table_misses").inc(h.producerMisses);
+}
+
+SimResults
+Simulator::collect(const PowerModel &power) const
+{
     SimResults r;
     r.benchmark = cfg_.benchmark;
     r.core = core_->stats();
     r.ipc = r.core.ipc();
-    r.seconds = power_->seconds();
-    r.avgPowerW = power_->avgPower();
-    r.energyJ = power_->totalEnergy();
+    r.seconds = power.seconds();
+    r.avgPowerW = power.avgPower();
+    r.energyJ = power.totalEnergy();
     r.edProduct = r.energyJ * r.seconds;
     for (PUnit u : kAllPUnits) {
         auto i = static_cast<std::size_t>(u);
-        r.unitEnergyJ[i] = power_->unitEnergy(u);
-        r.unitWastedJ[i] = power_->unitWastedEnergy(u);
-        r.unitActivity[i] = power_->meanActivity(u);
+        r.unitEnergyJ[i] = power.unitEnergy(u);
+        r.unitWastedJ[i] = power.unitWastedEnergy(u);
+        r.unitActivity[i] = power.meanActivity(u);
     }
-    r.wastedEnergyJ = power_->wastedEnergy();
+    r.wastedEnergyJ = power.wastedEnergy();
     r.condMissRate = bpred_->condMissRate();
     r.spec = core_->confMetrics().spec();
     r.pvn = core_->confMetrics().pvn();
     r.il1MissRate = memory_->il1().missRate();
     r.dl1MissRate = memory_->dl1().missRate();
     r.l2MissRate = memory_->l2().missRate();
-
-    // Flush the core's plain hot-path counters into the process-wide
-    // registry once per run; the pipeline itself never touches an
-    // atomic, and results are unaffected (observability only).
-    {
-        const Core::HotCounters &h = core_->hotCounters();
-        obs::Registry &reg = obs::Registry::instance();
-        reg.counter("core.fetch_groups").inc(h.fetchGroups);
-        reg.counter("core.producer_table_hits").inc(h.producerHits);
-        reg.counter("core.producer_table_misses")
-            .inc(h.producerMisses);
-    }
     return r;
 }
 

@@ -17,7 +17,9 @@
 #ifndef STSIM_CORE_SIMULATOR_HH
 #define STSIM_CORE_SIMULATOR_HH
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -49,9 +51,36 @@ class Simulator
      * Run warmup + measurement; returns the collected results. When
      * @p cancel is non-null it is polled every few thousand cycles
      * (warmup included) and a fired token throws JobCancelled; a null
-     * token costs one never-taken branch per tick.
+     * token costs one never-taken branch per tick. This is the
+     * one-variant case of runVariants().
      */
     SimResults run(const CancelToken *cancel = nullptr);
+
+    /** Receives variant @p index's results as its run stops. */
+    using VariantFn = std::function<void(std::size_t index, SimResults &&)>;
+
+    /**
+     * Run (or finish) warmup, then measure every config in @p variants
+     * on this one simulated trajectory. Each variant must share this
+     * machine's warmup class (warmupClassKey), so variants differ only
+     * in run length and power parameters -- and power is a pure
+     * observer of the pipeline, so their cycles are the same cycles.
+     * Every cycle's recorded activity feeds one power model per
+     * distinct power configuration, each starting from this machine's
+     * current power accumulators (zero right after warmup, the
+     * snapshot's values on a mid-measure fork).
+     *
+     * Variant k's results are handed to @p onResult at the end of the
+     * first tick where committedInsts >= its maxInstructions -- exactly
+     * where its own run() would stop -- so they are bitwise identical
+     * to a solo run. Calls come in stop order: ascending run length,
+     * ties in @p variants order. Cancel polling is as in run(), and the
+     * runaway bound is that of the next variant still to stop. An
+     * exception from @p onResult ends the run.
+     */
+    void runVariants(std::span<const SimConfig *const> variants,
+                     const VariantFn &onResult,
+                     const CancelToken *cancel = nullptr);
 
     /**
      * Run (or finish) the warmup phase only: train predictors/caches,
@@ -111,8 +140,8 @@ class Simulator
         Measure, ///< stats reset done; measuring
     };
 
-    /** The measurement loop + result assembly (phase_ == Measure). */
-    SimResults runMeasure(const CancelToken *cancel);
+    /** Results of the run so far, power costed by @p power. */
+    SimResults collect(const PowerModel &power) const;
 
     SimConfig cfg_;
     Phase phase_ = Phase::Warmup;

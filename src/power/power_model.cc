@@ -113,6 +113,43 @@ PowerModel::endCycleImpl()
     ++cycles_;
 }
 
+void
+PowerModel::feedObservers()
+{
+    for (PowerModel *o : observers_) {
+        std::uint32_t mask = dirty_;
+        o->dirty_ = mask;
+        while (mask) {
+            const std::size_t i = lowestBit(mask);
+            mask &= mask - 1;
+            o->cycleCount_[i] = cycleCount_[i];
+            o->cycleWrong_[i] = cycleWrong_[i];
+        }
+        o->endCycle();
+    }
+}
+
+void
+PowerModel::addObserver(PowerModel &observer)
+{
+    stsim_assert(&observer != this && observer.observers_.empty(),
+                 "power observers must be distinct leaf models");
+    observers_.push_back(&observer);
+}
+
+void
+PowerModel::copyAccumulators(const PowerModel &other)
+{
+    stsim_assert(dirty_ == 0 && other.dirty_ == 0,
+                 "power accumulators copied mid-cycle");
+    unitEnergyAcc_ = other.unitEnergyAcc_;
+    unitWasted_ = other.unitWasted_;
+    activitySum_ = other.activitySum_;
+    touchedCycles_ = other.touchedCycles_;
+    cycles_ = other.cycles_;
+    totalWasted_ = other.totalWasted_;
+}
+
 // endCycle() selects the instantiation by branch; force both here so
 // the out-of-line template bodies exist in this translation unit.
 template void PowerModel::endCycleImpl<ClockGatingStyle::cc0>();

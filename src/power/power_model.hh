@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -76,10 +77,13 @@ class PowerModel
     /** Close the cycle: convert activity to power and accumulate. The
      *  gating style is fixed at construction, so this is a perfectly
      *  predicted branch (and LTO-inlinable) instead of an indirect
-     *  member call on the per-cycle path. */
+     *  member call on the per-cycle path. Observers (if any) close
+     *  the same cycle first, under their own parameters. */
     void
     endCycle()
     {
+        if (!observers_.empty())
+            feedObservers();
         if (cc0_)
             endCycleImpl<ClockGatingStyle::cc0>();
         else
@@ -120,6 +124,24 @@ class PowerModel
     void resetStats();
 
     /**
+     * Observers: models with their own parameters that account every
+     * cycle this model records, as if the pipeline recorded into each
+     * of them directly. Power is a pure observer of the pipeline, so
+     * one simulated trajectory can be costed under several power
+     * configurations at once. An observer must outlive its
+     * attachment; detach with clearObservers().
+     */
+    void addObserver(PowerModel &observer);
+    void clearObservers() { observers_.clear(); }
+
+    /**
+     * Take over @p other's accumulated energy/cycle statistics (between
+     * ticks), keeping this model's own parameters: the starting state
+     * of a model restored from a snapshot @p other was restored from.
+     */
+    void copyAccumulators(const PowerModel &other);
+
+    /**
      * Checkpoint the energy accumulators (between ticks only: the
      * per-cycle scratch is empty then -- endCycle self-clears -- so
      * only the accumulators are state; the constants are rebuilt from
@@ -130,6 +152,7 @@ class PowerModel
 
   private:
     template <ClockGatingStyle Style> void endCycleImpl();
+    void feedObservers();
 
     PowerParams params_;
 
@@ -160,6 +183,8 @@ class PowerModel
     Counter cycles_ = 0;
     double totalWasted_ = 0.0;
     /// @}
+
+    std::vector<PowerModel *> observers_;
 };
 
 } // namespace stsim

@@ -79,6 +79,8 @@ struct PowerParams
 
     /** Cycle period in seconds. */
     double cycleSeconds() const { return 1.0 / frequencyHz; }
+
+    bool operator==(const PowerParams &) const = default;
 };
 
 } // namespace stsim

@@ -437,10 +437,10 @@ TEST(RunJobsAbort, MemoizedPreCancelledTokenThrowsBeforeAnyCommit)
 TEST(RunJobsAbort, MemoizedCancelMidWarmupReleasesBlockedWorkers)
 {
     // Long warmups + window 1 + more workers than classes: warm-ahead
-    // holds two workers inside warmups, the frontier job waits on its
-    // class and the next job waits at the gate. Firing the token
-    // mid-warmup must surface JobCancelled promptly -- a missed
-    // release hangs this test.
+    // holds two workers inside warmups, the single-job trajectories at
+    // the frontier wait on their class and the rest wait at the gate.
+    // Firing the token mid-warmup must surface JobCancelled promptly --
+    // a missed release hangs this test.
     ScopedEnv env("STSIM_REORDER_WINDOW", "1");
     std::vector<SimJob> jobs = classContiguousJobs(2, 4, 50'000'000);
     CancelToken token;
@@ -471,5 +471,77 @@ TEST(RunJobsAbort, MemoizedThrowingSinkAtWindowTwiceWorkers)
     ThrowAtSink sink(4);
     EXPECT_THROW(runJobs(classContiguousJobs(6, 3), sink, memoized(4)),
                  std::runtime_error);
+    expectPrefix(sink.written, 4);
+}
+
+//
+// The same paths on trajectory items: one simulated trajectory commits
+// several jobs of a class as it reaches their lengths, so a failure
+// can now land between two jobs of one item.
+//
+
+TEST(RunJobsAbort, MemoizedCancelMidTrajectoryCommitsOnlyReachedJobs)
+{
+    // One class, one trajectory item: the two short jobs commit as the
+    // trajectory passes their lengths, and committing the second fires
+    // the token while the trajectory heads for the long ones. Nothing
+    // past them may commit, and the wave must rethrow JobCancelled
+    // promptly -- the long jobs would otherwise run for minutes.
+    struct CancelAtSink : ResultsSink
+    {
+        CancelToken token;
+        std::vector<std::uint64_t> written; ///< serialized by runJobs
+
+        void
+        write(std::uint64_t index, const SimResults &) override
+        {
+            written.push_back(index);
+            if (index == 1)
+                token.cancel();
+        }
+    } sink;
+    std::vector<SimJob> jobs = classContiguousJobs(1, 4);
+    jobs[2].cfg.maxInstructions = 50'000'000;
+    jobs[3].cfg.maxInstructions = 60'000'000;
+    EXPECT_THROW(runJobs(jobs, sink, memoized(2, &sink.token)),
+                 JobCancelled);
+    expectPrefix(sink.written, 2);
+}
+
+TEST(RunJobsAbort, MemoizedThrowingSinkInsideTrajectory)
+{
+    // The sink throws on the third job of the class's single
+    // trajectory: the trajectory stops committing there and the other
+    // class's item, running or gated, commits nothing past it.
+    ThrowAtSink sink(2);
+    EXPECT_THROW(runJobs(classContiguousJobs(2, 6), sink, memoized(4)),
+                 std::runtime_error);
+    expectPrefix(sink.written, 2);
+}
+
+TEST(RunJobsAbort, MemoizedThrowingSinkInsideTrajectoryAtWindowOne)
+{
+    // Window 1 cuts every class into single-job trajectories; the
+    // frontier job still always runs and the failure still stops the
+    // wave exactly there.
+    ScopedEnv env("STSIM_REORDER_WINDOW", "1");
+    ThrowAtSink sink(3);
+    EXPECT_THROW(runJobs(classContiguousJobs(2, 6), sink, memoized(3)),
+                 std::runtime_error);
+    expectPrefix(sink.written, 3);
+}
+
+TEST(RunJobsAbort, FromSnapshotThrowingSinkInsideTrajectory)
+{
+    // fromSnapshot waves ride the same trajectory items.
+    std::vector<SimJob> jobs = classContiguousJobs(1, 6);
+    Simulator warm(jobs[0].cfg);
+    warm.runWarmup();
+    const std::string snap = warm.saveSnapshot();
+    RunOptions opts;
+    opts.workers = 2;
+    opts.fromSnapshot = &snap;
+    ThrowAtSink sink(4);
+    EXPECT_THROW(runJobs(jobs, sink, opts), std::runtime_error);
     expectPrefix(sink.written, 4);
 }

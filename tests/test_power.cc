@@ -127,6 +127,55 @@ TEST(PowerModel, ResetStats)
     EXPECT_DOUBLE_EQ(pm.unitEnergy(PUnit::Alu), 0.0);
 }
 
+TEST(PowerModel, ObserverMatchesDirectRecording)
+{
+    // An observer accounts exactly the activity the primary model
+    // records, under its own parameters, from copied accumulators: the
+    // same doubles as a model the activity was recorded into directly.
+    PowerParams other = simpleParams();
+    other.style = ClockGatingStyle::cc0;
+    other.idleFactor = 0.25;
+    other.frequencyHz = 2e9;
+
+    PowerModel primary(simpleParams());
+    PowerModel direct(other);
+    auto cycle = [](PowerModel &pm, int i) {
+        pm.beginCycle();
+        if (i % 3)
+            pm.record(PUnit::Alu, 1.0 + i % 2, i % 2);
+        pm.record(PUnit::ICache, 0.5);
+        pm.record(PUnit::ICache, 0.25, 0.25);
+        pm.endCycle();
+    };
+    for (int i = 0; i < 5; ++i) {
+        cycle(primary, i);
+        cycle(direct, i);
+    }
+
+    PowerModel observer(other);
+    observer.copyAccumulators(direct);
+    primary.addObserver(observer);
+    for (int i = 5; i < 20; ++i) {
+        cycle(primary, i);
+        cycle(direct, i);
+    }
+    primary.clearObservers();
+    cycle(primary, 20); // no longer observed
+
+    EXPECT_EQ(observer.cycles(), direct.cycles());
+    EXPECT_EQ(observer.totalEnergy(), direct.totalEnergy());
+    EXPECT_EQ(observer.wastedEnergy(), direct.wastedEnergy());
+    for (PUnit u : kAllPUnits) {
+        EXPECT_EQ(observer.unitEnergy(u), direct.unitEnergy(u))
+            << punitName(u);
+        EXPECT_EQ(observer.unitWastedEnergy(u), direct.unitWastedEnergy(u))
+            << punitName(u);
+        EXPECT_EQ(observer.meanActivity(u), direct.meanActivity(u))
+            << punitName(u);
+    }
+    EXPECT_NE(observer.totalEnergy(), primary.totalEnergy());
+}
+
 TEST(PowerParams, CalibratedDefaultsArePositive)
 {
     PowerParams p = PowerParams::calibratedDefaults();

@@ -437,6 +437,220 @@ TEST(Snapshot, MoreClassesThanWorkersWarmEachClassOnce)
     }
 }
 
+namespace
+{
+
+/**
+ * The run-length and power variants of one warmup class: both gating
+ * styles, several idle factors and frequencies, duplicate lengths, and
+ * lengths a few instructions apart so that some stop in the same
+ * commit group (the same tick) as another.
+ */
+std::vector<SimJob>
+classVariants(const char *bench, const char *exp)
+{
+    const std::uint64_t lengths[] = {6'000, 6'001, 6'003, 9'000,
+                                     6'000, 7'500, 6'002, 9'000};
+    std::vector<SimJob> jobs;
+    for (std::size_t v = 0; v < std::size(lengths); ++v) {
+        SimJob j;
+        j.cfg = smallConfig(exp);
+        j.cfg.benchmark = bench;
+        j.cfg.warmupInstructions = 3'000;
+        j.cfg.maxInstructions = lengths[v];
+        j.cfg.power.style =
+            v % 3 == 1 ? ClockGatingStyle::cc0 : ClockGatingStyle::cc3;
+        j.cfg.power.idleFactor = 0.05 + 0.02 * static_cast<double>(v % 4);
+        j.cfg.power.frequencyHz =
+            1.0e9 + 0.1e9 * static_cast<double>(v % 3);
+        j.experiment = exp;
+        jobs.push_back(std::move(j));
+    }
+    return jobs;
+}
+
+} // namespace
+
+TEST(Snapshot, TrajectoryVariantsMatchScratch)
+{
+    // Three warmup classes of 8 power x length variants each. Every
+    // trajectory costs its jobs under their own power models and stops
+    // each exactly where its solo run stops, so in class-contiguous and
+    // in interleaved order, at 1-3 workers, under the production window
+    // and window 1, every result equals scratch and each class warms
+    // exactly once.
+    const std::vector<std::vector<SimJob>> classes = {
+        classVariants("go", "baseline"), classVariants("go", "C2"),
+        classVariants("crafty", "PG")};
+    // Scratch reference per (class, variant).
+    std::vector<std::vector<SimResults>> scratch;
+    for (const std::vector<SimJob> &c : classes) {
+        scratch.emplace_back();
+        for (const SimJob &j : c) {
+            scratch.back().push_back(Simulator(j.cfg).run());
+            scratch.back().back().experiment = j.experiment;
+        }
+    }
+    std::vector<SimJob> contiguous, interleaved;
+    std::vector<std::string> contiguousRef, interleavedRef;
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        for (std::size_t v = 0; v < classes[c].size(); ++v) {
+            contiguous.push_back(classes[c][v]);
+            contiguousRef.push_back(fingerprint(scratch[c][v]));
+        }
+    }
+    for (std::size_t v = 0; v < classes[0].size(); ++v) {
+        for (std::size_t c = 0; c < classes.size(); ++c) {
+            interleaved.push_back(classes[c][v]);
+            interleavedRef.push_back(fingerprint(scratch[c][v]));
+        }
+    }
+
+    // The variant set must really exercise a shared stop: two
+    // different lengths that end on the same cycle.
+    bool sameTick = false;
+    for (std::size_t a = 0; a < scratch[0].size(); ++a)
+        for (std::size_t b = 0; b < scratch[0].size(); ++b)
+            sameTick |= classes[0][a].cfg.maxInstructions !=
+                            classes[0][b].cfg.maxInstructions &&
+                        scratch[0][a].core.cycles ==
+                            scratch[0][b].core.cycles;
+    EXPECT_TRUE(sameTick);
+
+    obs::Counter &hits =
+        obs::Registry::instance().counter("runjobs.warmup_memo_hits");
+    obs::Counter &misses =
+        obs::Registry::instance().counter("runjobs.warmup_memo_misses");
+    for (const char *window : {"", "1"}) {
+        for (unsigned workers : {1u, 2u, 3u}) {
+            for (bool inOrder : {true, false}) {
+                SCOPED_TRACE(std::string("STSIM_REORDER_WINDOW=") + window +
+                             " workers=" + std::to_string(workers) +
+                             (inOrder ? " contiguous" : " interleaved"));
+                const std::vector<SimJob> &jobs =
+                    inOrder ? contiguous : interleaved;
+                const std::vector<std::string> &ref =
+                    inOrder ? contiguousRef : interleavedRef;
+                if (*window)
+                    setenv("STSIM_REORDER_WINDOW", window, 1);
+                const std::uint64_t hits0 = hits.value();
+                const std::uint64_t misses0 = misses.value();
+
+                std::vector<SimResults> memo(jobs.size());
+                CollectSink sink(memo);
+                RunOptions opts;
+                opts.workers = workers;
+                opts.memoizeWarmup = true;
+                StreamStats stats = runJobs(jobs, sink, opts);
+                unsetenv("STSIM_REORDER_WINDOW");
+
+                EXPECT_EQ(stats.warmupsRun, classes.size());
+                EXPECT_EQ(misses.value() - misses0, classes.size());
+                EXPECT_EQ(hits.value() - hits0,
+                          jobs.size() - classes.size());
+                for (std::size_t i = 0; i < jobs.size(); ++i)
+                    EXPECT_EQ(ref[i], fingerprint(memo[i])) << "job " << i;
+            }
+        }
+    }
+}
+
+TEST(Snapshot, LargeClassHoldsBoundedResults)
+{
+    // One class of 200 jobs: the wave is cut into trajectories of one
+    // reorder window each, and the results held for in-order commit
+    // stay within workers x window, whatever the class size. The first
+    // job is long, so the other worker runs ahead as far as the gate
+    // lets it while the frontier cannot commit.
+    std::vector<SimJob> jobs;
+    for (std::size_t k = 0; k < 200; ++k) {
+        SimJob j;
+        j.cfg = smallConfig("baseline");
+        j.cfg.warmupInstructions = 2'000;
+        j.cfg.maxInstructions =
+            k == 0 ? 150'000 : 1'000 + 37 * ((k * 7) % 50);
+        j.cfg.power.idleFactor = 0.05 + 0.01 * static_cast<double>(k % 9);
+        j.experiment = "baseline";
+        jobs.push_back(std::move(j));
+    }
+    const unsigned workers = 2;
+    const std::size_t window = 2 * workers < 4 ? 4 : 2 * workers;
+
+    obs::Counter &trajectories =
+        obs::Registry::instance().counter("runjobs.trajectories");
+    const std::uint64_t t0 = trajectories.value();
+    std::vector<SimResults> memo(jobs.size());
+    CollectSink sink(memo);
+    RunOptions opts;
+    opts.workers = workers;
+    opts.memoizeWarmup = true;
+    StreamStats stats = runJobs(jobs, sink, opts);
+
+    EXPECT_EQ(stats.warmupsRun, 1u);
+    EXPECT_LE(stats.maxPending, workers * window);
+    EXPECT_EQ(trajectories.value() - t0, jobs.size() / window);
+    for (std::size_t i = 0; i < jobs.size(); i += 23) {
+        SimResults r = Simulator(jobs[i].cfg).run();
+        r.experiment = jobs[i].experiment;
+        EXPECT_EQ(fingerprint(r), fingerprint(memo[i])) << "job " << i;
+    }
+}
+
+TEST(Snapshot, MidMeasureForkWaveMatchesPerJobRestore)
+{
+    // A snapshot taken mid-measure carries non-zero power
+    // accumulators. Jobs with other power parameters forked from it
+    // keep those accumulated values and cost only the remaining cycles
+    // under their own parameters -- exactly what a per-job restore +
+    // run() does. One job is already past its length at the snapshot
+    // and stops without a tick.
+    SimConfig cfg = smallConfig("C2");
+    cfg.maxInstructions = 30'000;
+    Simulator warm(cfg);
+    warm.runWarmup();
+    for (int i = 0; i < 2'000; ++i)
+        warm.core().tick();
+    ASSERT_GT(warm.power().totalEnergy(), 0.0);
+    const std::uint64_t committed = warm.core().stats().committedInsts;
+    ASSERT_GT(committed, 500u);
+    const std::string snap = warm.saveSnapshot();
+
+    std::vector<SimJob> jobs;
+    const std::uint64_t lengths[] = {committed + 4'000, 500,
+                                     committed + 1'000, committed + 4'000,
+                                     committed + 1'003};
+    for (std::size_t v = 0; v < std::size(lengths); ++v) {
+        SimJob j;
+        j.cfg = cfg;
+        j.cfg.maxInstructions = lengths[v];
+        j.cfg.power.idleFactor = 0.04 + 0.03 * static_cast<double>(v);
+        j.cfg.power.frequencyHz = 0.9e9 + 0.2e9 * static_cast<double>(v);
+        if (v == 3)
+            j.cfg.power.style = ClockGatingStyle::cc0;
+        j.experiment = "C2";
+        jobs.push_back(std::move(j));
+    }
+
+    for (unsigned workers : {1u, 3u}) {
+        SCOPED_TRACE(workers);
+        std::vector<SimResults> forked(jobs.size());
+        CollectSink sink(forked);
+        RunOptions opts;
+        opts.workers = workers;
+        opts.fromSnapshot = &snap;
+        StreamStats stats = runJobs(jobs, sink, opts);
+        EXPECT_EQ(stats.warmupsRun, 0u);
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            Simulator one(jobs[i].cfg);
+            one.restoreSnapshot(snap);
+            SimResults r = one.run();
+            r.experiment = jobs[i].experiment;
+            EXPECT_EQ(fingerprint(r), fingerprint(forked[i]))
+                << "job " << i;
+        }
+    }
+}
+
 TEST(Snapshot, CorruptedFieldIsFatal)
 {
     SimConfig cfg = smallConfig("baseline");
