@@ -1,8 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the substrate hot paths:
- * predictor lookups, cache accesses, workload generation and
- * whole-core simulation throughput.
+ * predictor lookups, cache accesses, workload generation,
+ * whole-core simulation throughput, and the fixed per-request costs of
+ * a served job (frame parse, job and result encoding, machine
+ * construction).
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +17,7 @@
 #include "confidence/bpru.hh"
 #include "confidence/jrs.hh"
 #include "core/experiment.hh"
+#include "core/job_serde.hh"
 #include "core/simulator.hh"
 #include "pipeline/producer_table.hh"
 #include "trace/workload.hh"
@@ -203,6 +206,74 @@ BM_CoreSimulationC2(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CoreSimulationC2)->Unit(benchmark::kMillisecond);
+
+/** The serve workload's request shape: C2 on go, 1K insts, no warmup. */
+SimJob
+serveShapedJob()
+{
+    SimJob j;
+    j.cfg.benchmark = "go";
+    j.cfg.maxInstructions = 1'000;
+    j.cfg.warmupInstructions = 0;
+    j.cfg.runSeed = 12345;
+    Experiment::byName("C2").applyTo(j.cfg);
+    j.experiment = "C2";
+    return j;
+}
+
+void
+BM_ParseServeRequest(benchmark::State &state)
+{
+    // One stsim_serve request frame: id + a full manifest record.
+    const std::string rec = serde::toJson(serveShapedJob());
+    const std::string frame = "{\"id\":7," + rec.substr(1);
+    serde::ServeRequest req;
+    for (auto _ : state) {
+        serde::ParseOutcome p = serde::parseServeRequest(frame, req);
+        benchmark::DoNotOptimize(p.ok);
+        benchmark::DoNotOptimize(req.job.cfg.maxInstructions);
+    }
+}
+BENCHMARK(BM_ParseServeRequest);
+
+void
+BM_JobToJson(benchmark::State &state)
+{
+    // What a client pays to encode its next request.
+    const SimJob job = serveShapedJob();
+    for (auto _ : state) {
+        std::string s = serde::toJson(job);
+        benchmark::DoNotOptimize(s.data());
+    }
+}
+BENCHMARK(BM_JobToJson);
+
+void
+BM_ResultRecordToJson(benchmark::State &state)
+{
+    // A served reply: the index plus a full SimResults (47 doubles).
+    const SimJob job = serveShapedJob();
+    SimResults r = Simulator(job.cfg).run();
+    r.experiment = job.experiment;
+    for (auto _ : state) {
+        std::string s = serde::resultRecordToJson(7, r);
+        benchmark::DoNotOptimize(s.data());
+    }
+}
+BENCHMARK(BM_ResultRecordToJson);
+
+void
+BM_SimulatorConstruct(benchmark::State &state)
+{
+    // Construct + destroy one serve-shaped machine (the program cache
+    // is warm after the first iteration, as in a running server).
+    const SimConfig cfg = serveShapedJob().cfg;
+    for (auto _ : state) {
+        Simulator sim(cfg);
+        benchmark::DoNotOptimize(&sim);
+    }
+}
+BENCHMARK(BM_SimulatorConstruct);
 
 } // namespace
 

@@ -15,7 +15,7 @@ Bimodal::Bimodal(std::size_t size_bytes)
         stsim_fatal("bimodal size %zu B yields non-power-of-2 entries",
                     size_bytes);
     indexBits_ = floorLog2(entries);
-    pht_.assign(entries, SatCounter(2, 2));
+    pht_ = FlatTable<SatCounter>(entries, SatCounter(2, 2));
 }
 
 DirectionPredictor::Prediction

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bpred/direction_predictor.hh"
+#include "common/flat_table.hh"
 #include "common/sat_counter.hh"
 
 namespace stsim
@@ -35,7 +36,7 @@ class Bimodal : public DirectionPredictor
   private:
     std::size_t sizeBytes_;
     unsigned indexBits_;
-    std::vector<SatCounter> pht_;
+    FlatTable<SatCounter> pht_;
 };
 
 } // namespace stsim

@@ -17,7 +17,7 @@ Btb::Btb(std::size_t entries, std::size_t ways)
     if (!isPowerOf2(numSets_))
         stsim_fatal("BTB set count must be a power of two");
     setBits_ = floorLog2(numSets_);
-    entries_.resize(entries);
+    entries_ = FlatTable<Entry>(entries);
 }
 
 std::size_t

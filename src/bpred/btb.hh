@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/flat_table.hh"
 #include "common/types.hh"
 
 namespace stsim
@@ -52,12 +53,13 @@ class Btb
     void loadState(serde::StateReader &r);
 
   private:
+    /** All-zero bytes is an invalid entry. */
     struct Entry
     {
-        bool valid = false;
-        Addr tag = 0;
-        Addr target = 0;
-        std::uint64_t lastUse = 0;
+        bool valid;
+        Addr tag;
+        Addr target;
+        std::uint64_t lastUse;
     };
 
     std::size_t setIndex(Addr pc) const;
@@ -65,7 +67,7 @@ class Btb
     std::size_t ways_;
     std::size_t numSets_;
     unsigned setBits_;
-    std::vector<Entry> entries_; // sets * ways, way-major within set
+    FlatTable<Entry> entries_; // sets * ways, way-major within set
     std::uint64_t useClock_ = 0;
     Counter lookups_ = 0;
     Counter hits_ = 0;

@@ -16,7 +16,7 @@ Gshare::Gshare(std::size_t size_bytes)
                     size_bytes);
     histBits_ = floorLog2(entries);
     // Initialize counters weakly taken (2), the usual cold-start choice.
-    pht_.assign(entries, SatCounter(2, 2));
+    pht_ = FlatTable<SatCounter>(entries, SatCounter(2, 2));
 }
 
 std::size_t

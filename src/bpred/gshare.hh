@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bpred/direction_predictor.hh"
+#include "common/flat_table.hh"
 #include "common/sat_counter.hh"
 
 namespace stsim
@@ -42,7 +43,7 @@ class Gshare : public DirectionPredictor
 
     std::size_t sizeBytes_;
     unsigned histBits_;
-    std::vector<SatCounter> pht_;
+    FlatTable<SatCounter> pht_;
 };
 
 } // namespace stsim

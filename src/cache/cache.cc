@@ -23,7 +23,7 @@ Cache::Cache(const CacheConfig &cfg)
     setBits_ = floorLog2(numSets_);
     lineBits_ = floorLog2(cfg.lineBytes);
     setMask_ = numSets_ - 1;
-    lines_.resize(lines);
+    lines_ = FlatTable<Line>(lines);
     mruWay_.assign(numSets_, 0);
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_table.hh"
 #include "common/types.hh"
 
 namespace stsim
@@ -84,19 +85,20 @@ class Cache
     void loadState(serde::StateReader &r);
 
   private:
+    /** All-zero bytes is an invalid line. */
     struct Line
     {
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool wrongPathFill = false;
+        Addr tag;
+        std::uint64_t lastUse;
+        bool valid;
+        bool wrongPathFill;
     };
 
     CacheConfig cfg_;
     std::size_t numSets_;
     unsigned setBits_;
     unsigned lineBits_;
-    std::vector<Line> lines_; // sets * ways
+    FlatTable<Line> lines_; // sets * ways
     /**
      * Per-set MRU way hint: the way the set last hit or filled.
      * Checked before the associative scan -- repeated touches to a

@@ -19,7 +19,7 @@ BpruEstimator::BpruEstimator(std::size_t size_bytes, const Params &params)
     stsim_assert(params_.missInc >= 1 && params_.correctDec >= 1,
                  "degenerate BPRU update rule");
     stsim_assert(params_.allocValue <= 7, "allocValue out of range");
-    table_.resize(entries);
+    table_ = FlatTable<Entry>(entries);
 }
 
 std::size_t

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/flat_table.hh"
 #include "confidence/estimator.hh"
 
 namespace stsim
@@ -86,11 +87,12 @@ class BpruEstimator : public ConfidenceEstimator
     void loadState(serde::StateReader &r) override;
 
   private:
+    /** All-zero bytes is an invalid entry. */
     struct Entry
     {
-        bool valid = false;
-        std::uint32_t tag = 0;
-        std::uint8_t counter = 0; // 0..7
+        bool valid;
+        std::uint32_t tag;
+        std::uint8_t counter; // 0..7
     };
 
     std::size_t index(Addr pc, std::uint64_t hist) const;
@@ -99,7 +101,7 @@ class BpruEstimator : public ConfidenceEstimator
     std::size_t sizeBytes_;
     unsigned indexBits_;
     Params params_;
-    std::vector<Entry> table_;
+    FlatTable<Entry> table_;
     Counter lookups_ = 0;
     Counter hits_ = 0;
 };

@@ -18,7 +18,7 @@ JrsEstimator::JrsEstimator(std::size_t size_bytes, unsigned threshold)
     indexBits_ = floorLog2(entries);
     stsim_assert(threshold_ >= 1 && threshold_ <= 15,
                  "bad MDC threshold %u", threshold_);
-    table_.assign(entries, SatCounter(4, 0));
+    table_ = FlatTable<SatCounter>(entries, SatCounter(4, 0));
 }
 
 std::size_t

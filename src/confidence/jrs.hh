@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "common/flat_table.hh"
 #include "common/sat_counter.hh"
 #include "confidence/estimator.hh"
 
@@ -55,7 +56,7 @@ class JrsEstimator : public ConfidenceEstimator
     std::size_t sizeBytes_;
     unsigned indexBits_;
     unsigned threshold_;
-    std::vector<SatCounter> table_;
+    FlatTable<SatCounter> table_;
 };
 
 } // namespace stsim

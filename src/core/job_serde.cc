@@ -1,8 +1,12 @@
 #include "job_serde.hh"
 
-#include <cinttypes>
-#include <cstdio>
+#include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <forward_list>
 #include <vector>
 
 #include "common/logging.hh"
@@ -16,40 +20,54 @@ namespace
 {
 
 // ---------------------------------------------------------------------------
-// Minimal strict JSON value + recursive-descent parser. Numbers keep
-// their raw token (we never need float JSON numbers: doubles travel as
-// hex-float strings); objects preserve key order.
+// Minimal strict JSON DOM + recursive-descent parser. The whole tree
+// lives in one flat node buffer in document order: a container's
+// members follow it, and each node records the size of its subtree,
+// so walking an object's members needs no per-node allocation. Keys
+// and scalar tokens are views into the frame; only strings carrying
+// escapes are decoded, into the document's own storage. Numbers keep
+// their raw token (we never need float JSON numbers: doubles travel
+// as hex-float strings); objects preserve key order, and a lookup
+// returns a key's first occurrence.
 // ---------------------------------------------------------------------------
 
 struct JVal
 {
-    enum class Kind { Null, Bool, Num, Str, Arr, Obj };
+    enum class Kind : std::uint8_t { Null, Bool, Num, Str, Arr, Obj };
 
     Kind kind = Kind::Null;
     bool b = false;
-    std::string num;  ///< raw token (Kind::Num)
-    std::string str;  ///< decoded string (Kind::Str)
-    std::vector<JVal> arr;
-    std::vector<std::pair<std::string, JVal>> obj;
+    std::uint32_t span = 1;  ///< nodes in this subtree, itself included
+    std::uint32_t count = 0; ///< members (Kind::Arr / Kind::Obj)
+    std::string_view key;    ///< member key, when inside an object
+    std::string_view text;   ///< raw token (Num) or decoded string (Str)
+
+    /** First member of a container; advance with next(). */
+    const JVal *first() const { return this + 1; }
+    const JVal *next() const { return this + span; }
 
     const JVal *
-    find(const std::string &key) const
+    find(std::string_view k) const
     {
-        for (const auto &[k, v] : obj)
-            if (k == key)
-                return &v;
+        if (kind != Kind::Obj)
+            return nullptr;
+        const JVal *m = first();
+        for (std::uint32_t i = 0; i < count; ++i, m = m->next())
+            if (m->key == k)
+                return m;
         return nullptr;
     }
 
     const JVal &
-    at(const std::string &key) const
+    at(std::string_view k) const
     {
         if (kind != Kind::Obj)
-            stsim_fatal("serde: '%s' looked up on a non-object",
-                        key.c_str());
-        if (const JVal *v = find(key))
+            stsim_fatal("serde: '%.*s' looked up on a non-object",
+                        static_cast<int>(k.size()), k.data());
+        if (const JVal *v = find(k))
             return *v;
-        stsim_fatal("serde: missing key '%s'", key.c_str());
+        stsim_fatal("serde: missing key '%.*s'",
+                    static_cast<int>(k.size()), k.data());
     }
 
     std::uint64_t
@@ -57,14 +75,23 @@ struct JVal
     {
         if (kind != Kind::Num)
             stsim_fatal("serde: expected an integer");
-        // strtoull would silently wrap a negative value to 2^64-v.
-        if (num.empty() || num[0] == '-')
-            stsim_fatal("serde: bad integer '%s' (must be unsigned)",
-                        num.c_str());
-        char *end = nullptr;
-        std::uint64_t v = std::strtoull(num.c_str(), &end, 10);
-        if (!end || *end != '\0')
-            stsim_fatal("serde: bad integer '%s'", num.c_str());
+        const int n = static_cast<int>(text.size());
+        // A negative value must not wrap to 2^64-v.
+        if (text.empty() || text[0] == '-')
+            stsim_fatal("serde: bad integer '%.*s' (must be unsigned)", n,
+                        text.data());
+        // strtoull's grammar for a sign-free token of [0-9.eE+-]: an
+        // optional '+', digits, and saturation at 2^64-1 on overflow.
+        const char *p = text.data();
+        const char *end = p + text.size();
+        if (*p == '+')
+            ++p;
+        std::uint64_t v = 0;
+        auto [ptr, ec] = std::from_chars(p, end, v);
+        if (ec == std::errc::result_out_of_range)
+            v = UINT64_MAX;
+        if (ptr != end || p == end)
+            stsim_fatal("serde: bad integer '%.*s'", n, text.data());
         return v;
     }
 
@@ -91,10 +118,8 @@ struct JVal
     {
         // Doubles are serialized as hex-float strings; accept plain
         // JSON numbers too (hand-written manifests).
-        if (kind == Kind::Str)
-            return doubleFromHex(str);
-        if (kind == Kind::Num)
-            return doubleFromHex(num);
+        if (kind == Kind::Str || kind == Kind::Num)
+            return doubleFromHex(text);
         stsim_fatal("serde: expected a double");
     }
 
@@ -106,13 +131,23 @@ struct JVal
         return b;
     }
 
-    const std::string &
+    std::string_view
     asStr() const
     {
         if (kind != Kind::Str)
             stsim_fatal("serde: expected a string");
-        return str;
+        return text;
     }
+};
+
+/** A parsed frame: the node buffer plus any decoded strings. */
+struct JDoc
+{
+    std::vector<JVal> nodes;
+    /** Unescaped strings; list nodes never move, so views stay valid. */
+    std::forward_list<std::string> decoded;
+
+    const JVal &root() const { return nodes.front(); }
 };
 
 class Parser
@@ -120,14 +155,18 @@ class Parser
   public:
     explicit Parser(std::string_view s) : s_(s) {}
 
-    JVal
+    /** Parse the whole input; the views in the result point into it. */
+    JDoc
     parse()
     {
-        JVal v = value();
+        // Real frames average well over 8 bytes per node; the cap
+        // keeps a hostile megabyte frame from reserving up front.
+        doc_.nodes.reserve(std::min<std::size_t>(s_.size() / 8 + 8, 4096));
+        value({});
         skipWs();
         if (pos_ != s_.size())
             stsim_fatal("serde: trailing bytes after JSON value");
-        return v;
+        return std::move(doc_);
     }
 
   private:
@@ -158,24 +197,32 @@ class Parser
         ++pos_;
     }
 
-    JVal
-    value()
+    /** Append node @p key : <value at pos_> and its whole subtree. */
+    void
+    value(std::string_view key)
     {
+        const std::size_t at = doc_.nodes.size();
+        doc_.nodes.emplace_back().key = key;
         switch (peek()) {
-          case '{': return object();
-          case '[': return array();
-          case '"': return string();
+          case '{': object(at); break;
+          case '[': array(at); break;
+          case '"': node(at).kind = JVal::Kind::Str;
+                    node(at).text = string();
+                    break;
           case 't':
-          case 'f': return boolean();
-          case 'n': return null();
-          default: return number();
+          case 'f': boolean(at); break;
+          case 'n': null(); break;
+          default: number(at); break;
         }
+        node(at).span = static_cast<std::uint32_t>(doc_.nodes.size() - at);
     }
 
-    // The parser (and JVal's destructor) recurse per nesting level; a
-    // hostile frame of '['/'{"a":' repeated would otherwise overflow
-    // the stack, which FatalCaptureScope cannot catch. Real records
-    // nest ~5 levels, so 64 is generous.
+    JVal &node(std::size_t i) { return doc_.nodes[i]; }
+
+    // The parser recurses per nesting level; a hostile frame of
+    // '['/'{"a":' repeated would otherwise overflow the stack, which
+    // FatalCaptureScope cannot catch. Real records nest ~5 levels, so
+    // 64 is generous.
     void
     enterNested()
     {
@@ -184,116 +231,130 @@ class Parser
                         kMaxDepth);
     }
 
-    JVal
-    object()
+    void
+    object(std::size_t at)
     {
         expect('{');
         enterNested();
-        JVal v;
-        v.kind = JVal::Kind::Obj;
+        node(at).kind = JVal::Kind::Obj;
         if (peek() == '}') {
             ++pos_;
             --depth_;
-            return v;
+            return;
         }
-        for (;;) {
-            JVal key = string();
+        for (std::uint32_t n = 1;; ++n) {
+            std::string_view key = string();
             expect(':');
-            v.obj.emplace_back(std::move(key.str), value());
+            value(key);
+            node(at).count = n;
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
             expect('}');
             --depth_;
-            return v;
+            return;
         }
     }
 
-    JVal
-    array()
+    void
+    array(std::size_t at)
     {
         expect('[');
         enterNested();
-        JVal v;
-        v.kind = JVal::Kind::Arr;
+        node(at).kind = JVal::Kind::Arr;
         if (peek() == ']') {
             ++pos_;
             --depth_;
-            return v;
+            return;
         }
-        for (;;) {
-            v.arr.push_back(value());
+        for (std::uint32_t n = 1;; ++n) {
+            value({});
+            node(at).count = n;
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
             expect(']');
             --depth_;
-            return v;
+            return;
         }
     }
 
-    JVal
+    /** A string token: a view into the input unless it has escapes. */
+    std::string_view
     string()
     {
         expect('"');
-        JVal v;
-        v.kind = JVal::Kind::Str;
+        const std::size_t start = pos_;
+        while (pos_ < s_.size()) {
+            const char c = s_[pos_];
+            if (c == '"')
+                return s_.substr(start, pos_++ - start);
+            if (c == '\\')
+                return escaped(start);
+            ++pos_;
+        }
+        stsim_fatal("serde: unterminated string");
+    }
+
+    /** Slow path of string(): decode from @p start to the close quote. */
+    std::string_view
+    escaped(std::size_t start)
+    {
+        std::string &out = doc_.decoded.emplace_front(
+            s_.substr(start, pos_ - start));
         while (pos_ < s_.size()) {
             char c = s_[pos_++];
             if (c == '"')
-                return v;
+                return out;
             if (c == '\\') {
                 if (pos_ >= s_.size())
                     break;
                 char e = s_[pos_++];
                 switch (e) {
-                  case '"': v.str += '"'; break;
-                  case '\\': v.str += '\\'; break;
-                  case '/': v.str += '/'; break;
-                  case 'n': v.str += '\n'; break;
-                  case 't': v.str += '\t'; break;
-                  case 'r': v.str += '\r'; break;
+                  case '"': out += '"'; break;
+                  case '\\': out += '\\'; break;
+                  case '/': out += '/'; break;
+                  case 'n': out += '\n'; break;
+                  case 't': out += '\t'; break;
+                  case 'r': out += '\r'; break;
                   default:
                     stsim_fatal("serde: unsupported escape '\\%c'", e);
                 }
                 continue;
             }
-            v.str += c;
+            out += c;
         }
         stsim_fatal("serde: unterminated string");
     }
 
-    JVal
-    boolean()
+    void
+    boolean(std::size_t at)
     {
-        JVal v;
-        v.kind = JVal::Kind::Bool;
+        node(at).kind = JVal::Kind::Bool;
         if (s_.compare(pos_, 4, "true") == 0) {
-            v.b = true;
+            node(at).b = true;
             pos_ += 4;
-            return v;
+            return;
         }
         if (s_.compare(pos_, 5, "false") == 0) {
-            v.b = false;
             pos_ += 5;
-            return v;
+            return;
         }
         stsim_fatal("serde: bad literal at offset %zu", pos_);
     }
 
-    JVal
+    void
     null()
     {
         if (s_.compare(pos_, 4, "null") != 0)
             stsim_fatal("serde: bad literal at offset %zu", pos_);
         pos_ += 4;
-        return JVal{};
     }
 
-    JVal
-    number()
+    void
+    number(std::size_t at)
     {
         std::size_t start = pos_;
         if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
@@ -306,10 +367,8 @@ class Parser
         }
         if (pos_ == start)
             stsim_fatal("serde: bad token at offset %zu", start);
-        JVal v;
-        v.kind = JVal::Kind::Num;
-        v.num.assign(s_.substr(start, pos_ - start));
-        return v;
+        node(at).kind = JVal::Kind::Num;
+        node(at).text = s_.substr(start, pos_ - start);
     }
 
     static constexpr std::size_t kMaxDepth = 64;
@@ -317,114 +376,117 @@ class Parser
     std::string_view s_;
     std::size_t pos_ = 0;
     std::size_t depth_ = 0;
+    JDoc doc_;
 };
 
 // ---------------------------------------------------------------------------
 // Writer: appends "key":value pairs with a fixed field order so that
 // serialize(parse(serialize(x))) is byte-identical to serialize(x).
+// Every record is built in place in one output string; a nested
+// object is written by a nested Obj on the same string after key().
 // ---------------------------------------------------------------------------
+
+void
+appendU64(std::string &out, std::uint64_t v)
+{
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void
+appendQuoted(std::string &out, std::string_view s)
+{
+    out += '"';
+    std::size_t run = 0; // start of the pending escape-free run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char *esc = nullptr;
+        switch (s[i]) {
+          case '"': esc = "\\\""; break;
+          case '\\': esc = "\\\\"; break;
+          case '\n': esc = "\\n"; break;
+          case '\t': esc = "\\t"; break;
+          case '\r': esc = "\\r"; break;
+          default: continue;
+        }
+        out.append(s, run, i - run);
+        out += esc;
+        run = i + 1;
+    }
+    out.append(s, run);
+    out += '"';
+}
 
 class Obj
 {
   public:
     explicit Obj(std::string &out) : out_(out) { out_ += '{'; }
 
-    void
-    raw(const char *key, const std::string &value)
-    {
-        sep();
-        out_ += '"';
-        out_ += key;
-        out_ += "\":";
-        out_ += value;
-    }
-
-    void
-    str(const char *key, const std::string &value)
-    {
-        sep();
-        out_ += '"';
-        out_ += key;
-        out_ += "\":";
-        appendQuoted(out_, value);
-    }
-
-    void
-    u64(const char *key, std::uint64_t value)
-    {
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-        raw(key, buf);
-    }
-
-    void
-    boolean(const char *key, bool value)
-    {
-        raw(key, value ? "true" : "false");
-    }
-
-    void
-    dbl(const char *key, double value)
-    {
-        str(key, doubleToHex(value));
-    }
-
-    void
-    close()
-    {
-        out_ += '}';
-    }
-
-    static void
-    appendQuoted(std::string &out, const std::string &s)
-    {
-        out += '"';
-        for (char c : s) {
-            switch (c) {
-              case '"': out += "\\\""; break;
-              case '\\': out += "\\\\"; break;
-              case '\n': out += "\\n"; break;
-              case '\t': out += "\\t"; break;
-              case '\r': out += "\\r"; break;
-              default: out += c;
-            }
-        }
-        out += '"';
-    }
-
-  private:
-    void
-    sep()
+    /** Open member @p k; the caller appends its value to the result. */
+    std::string &
+    key(const char *k)
     {
         if (!first_)
             out_ += ',';
         first_ = false;
+        out_ += '"';
+        out_ += k;
+        out_ += "\":";
+        return out_;
     }
 
+    void str(const char *k, std::string_view value)
+    {
+        appendQuoted(key(k), value);
+    }
+
+    void u64(const char *k, std::uint64_t value)
+    {
+        appendU64(key(k), value);
+    }
+
+    void boolean(const char *k, bool value)
+    {
+        key(k) += value ? "true" : "false";
+    }
+
+    void dbl(const char *k, double value) { appendDbl(key(k), value); }
+
+    void close() { out_ += '}'; }
+
+    /** A double as its quoted hex-float string. */
+    static void
+    appendDbl(std::string &out, double d)
+    {
+        out += '"';
+        appendDoubleHex(out, d);
+        out += '"';
+    }
+
+  private:
     std::string &out_;
     bool first_ = true;
 };
 
-std::string
-dblArray(const double *v, std::size_t n)
+void
+dblArray(std::string &out, const double *v, std::size_t n)
 {
-    std::string out = "[";
+    out += '[';
     for (std::size_t i = 0; i < n; ++i) {
         if (i)
             out += ',';
-        Obj::appendQuoted(out, doubleToHex(v[i]));
+        Obj::appendDbl(out, v[i]);
     }
     out += ']';
-    return out;
 }
 
 void
 parseDblArray(const JVal &v, double *out, std::size_t n)
 {
-    if (v.kind != JVal::Kind::Arr || v.arr.size() != n)
+    if (v.kind != JVal::Kind::Arr || v.count != n)
         stsim_fatal("serde: expected an array of %zu doubles", n);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = v.arr[i].asDouble();
+    const JVal *e = v.first();
+    for (std::size_t i = 0; i < n; ++i, e = e->next())
+        out[i] = e->asDouble();
 }
 
 // ---------------------------------------------------------------------------
@@ -433,18 +495,19 @@ parseDblArray(const JVal &v, double *out, std::size_t n)
 // ---------------------------------------------------------------------------
 
 ConfKind
-confKindFromName(const std::string &s)
+confKindFromName(std::string_view s)
 {
     for (ConfKind k : {ConfKind::None, ConfKind::Bpru, ConfKind::Jrs,
                        ConfKind::Perfect}) {
         if (s == confKindName(k))
             return k;
     }
-    stsim_fatal("serde: unknown confKind '%s'", s.c_str());
+    stsim_fatal("serde: unknown confKind '%.*s'",
+                static_cast<int>(s.size()), s.data());
 }
 
 OracleMode
-oracleModeFromName(const std::string &s)
+oracleModeFromName(std::string_view s)
 {
     for (OracleMode m :
          {OracleMode::None, OracleMode::OracleFetch,
@@ -452,7 +515,8 @@ oracleModeFromName(const std::string &s)
         if (s == oracleModeName(m))
             return m;
     }
-    stsim_fatal("serde: unknown oracle mode '%s'", s.c_str());
+    stsim_fatal("serde: unknown oracle mode '%.*s'",
+                static_cast<int>(s.size()), s.data());
 }
 
 const char *
@@ -467,7 +531,7 @@ specModeName(SpecControlMode m)
 }
 
 SpecControlMode
-specModeFromName(const std::string &s)
+specModeFromName(std::string_view s)
 {
     for (SpecControlMode m :
          {SpecControlMode::None, SpecControlMode::Selective,
@@ -475,11 +539,12 @@ specModeFromName(const std::string &s)
         if (s == specModeName(m))
             return m;
     }
-    stsim_fatal("serde: unknown specControl mode '%s'", s.c_str());
+    stsim_fatal("serde: unknown specControl mode '%.*s'",
+                static_cast<int>(s.size()), s.data());
 }
 
 BandwidthLevel
-bandwidthFromName(const std::string &s)
+bandwidthFromName(std::string_view s)
 {
     for (BandwidthLevel l :
          {BandwidthLevel::Full, BandwidthLevel::Half,
@@ -487,7 +552,8 @@ bandwidthFromName(const std::string &s)
         if (s == bandwidthLevelName(l))
             return l;
     }
-    stsim_fatal("serde: unknown bandwidth level '%s'", s.c_str());
+    stsim_fatal("serde: unknown bandwidth level '%.*s'",
+                static_cast<int>(s.size()), s.data());
 }
 
 const char *
@@ -497,13 +563,14 @@ gatingStyleName(ClockGatingStyle s)
 }
 
 ClockGatingStyle
-gatingStyleFromName(const std::string &s)
+gatingStyleFromName(std::string_view s)
 {
     if (s == "cc0")
         return ClockGatingStyle::cc0;
     if (s == "cc3")
         return ClockGatingStyle::cc3;
-    stsim_fatal("serde: unknown clock-gating style '%s'", s.c_str());
+    stsim_fatal("serde: unknown clock-gating style '%.*s'",
+                static_cast<int>(s.size()), s.data());
 }
 
 const char *
@@ -513,13 +580,14 @@ bpredKindName(BpredConfig::Kind k)
 }
 
 BpredConfig::Kind
-bpredKindFromName(const std::string &s)
+bpredKindFromName(std::string_view s)
 {
     if (s == "gshare")
         return BpredConfig::Kind::Gshare;
     if (s == "bimodal")
         return BpredConfig::Kind::Bimodal;
-    stsim_fatal("serde: unknown predictor kind '%s'", s.c_str());
+    stsim_fatal("serde: unknown predictor kind '%.*s'",
+                static_cast<int>(s.size()), s.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -527,10 +595,9 @@ bpredKindFromName(const std::string &s)
 // corresponding struct.
 // ---------------------------------------------------------------------------
 
-std::string
-cacheToJson(const CacheConfig &c)
+void
+cacheToJson(std::string &out, const CacheConfig &c)
 {
-    std::string out;
     Obj o(out);
     o.str("name", c.name);
     o.u64("sizeBytes", c.sizeBytes);
@@ -538,7 +605,6 @@ cacheToJson(const CacheConfig &c)
     o.u64("lineBytes", c.lineBytes);
     o.u64("hitLatency", c.hitLatency);
     o.close();
-    return out;
 }
 
 CacheConfig
@@ -553,21 +619,19 @@ cacheFromJson(const JVal &v)
     return c;
 }
 
-std::string
-memoryToJson(const MemoryConfig &m)
+void
+memoryToJson(std::string &out, const MemoryConfig &m)
 {
-    std::string out;
     Obj o(out);
-    o.raw("il1", cacheToJson(m.il1));
-    o.raw("dl1", cacheToJson(m.dl1));
-    o.raw("l2", cacheToJson(m.l2));
+    cacheToJson(o.key("il1"), m.il1);
+    cacheToJson(o.key("dl1"), m.dl1);
+    cacheToJson(o.key("l2"), m.l2);
     o.u64("memLatency", m.memLatency);
     o.u64("tlbEntries", m.tlbEntries);
     o.u64("pageBytes", m.pageBytes);
     o.u64("tlbMissPenalty", m.tlbMissPenalty);
     o.u64("dl1ExtraLatency", m.dl1ExtraLatency);
     o.close();
-    return out;
 }
 
 MemoryConfig
@@ -585,10 +649,9 @@ memoryFromJson(const JVal &v)
     return m;
 }
 
-std::string
-coreToJson(const CoreConfig &c)
+void
+coreToJson(std::string &out, const CoreConfig &c)
 {
-    std::string out;
     Obj o(out);
     o.u64("fetchWidth", c.fetchWidth);
     o.u64("decodeWidth", c.decodeWidth);
@@ -611,7 +674,6 @@ coreToJson(const CoreConfig &c)
     o.u64("btbMissPenalty", c.btbMissPenalty);
     o.str("oracle", oracleModeName(c.oracle));
     o.close();
-    return out;
 }
 
 CoreConfig
@@ -643,10 +705,9 @@ coreFromJson(const JVal &v)
     return c;
 }
 
-std::string
-bpredToJson(const BpredConfig &b)
+void
+bpredToJson(std::string &out, const BpredConfig &b)
 {
-    std::string out;
     Obj o(out);
     o.str("kind", bpredKindName(b.kind));
     o.u64("predictorBytes", b.predictorBytes);
@@ -654,7 +715,6 @@ bpredToJson(const BpredConfig &b)
     o.u64("btbWays", b.btbWays);
     o.u64("rasEntries", b.rasEntries);
     o.close();
-    return out;
 }
 
 BpredConfig
@@ -669,17 +729,15 @@ bpredFromJson(const JVal &v)
     return b;
 }
 
-std::string
-bpruParamsToJson(const BpruEstimator::Params &p)
+void
+bpruParamsToJson(std::string &out, const BpruEstimator::Params &p)
 {
-    std::string out;
     Obj o(out);
     o.u64("missInc", p.missInc);
     o.u64("correctDec", p.correctDec);
     o.u64("allocValue", p.allocValue);
     o.u64("tagBits", p.tagBits);
     o.close();
-    return out;
 }
 
 BpruEstimator::Params
@@ -693,16 +751,14 @@ bpruParamsFromJson(const JVal &v)
     return p;
 }
 
-std::string
-actionToJson(const ThrottleAction &a)
+void
+actionToJson(std::string &out, const ThrottleAction &a)
 {
-    std::string out;
     Obj o(out);
     o.str("fetch", bandwidthLevelName(a.fetch));
     o.str("decode", bandwidthLevelName(a.decode));
     o.boolean("noSelect", a.noSelect);
     o.close();
-    return out;
 }
 
 ThrottleAction
@@ -715,30 +771,26 @@ actionFromJson(const JVal &v)
     return a;
 }
 
-std::string
-specControlToJson(const SpecControlConfig &s)
+void
+specControlToJson(std::string &out, const SpecControlConfig &s)
 {
-    std::string out;
     Obj o(out);
     o.str("mode", specModeName(s.mode));
-    std::string pol;
     {
-        Obj p(pol);
+        Obj p(o.key("policy"));
         p.str("name", s.policy.name);
-        std::string lv = "[";
+        std::string &lv = p.key("byLevel");
+        lv += '[';
         for (std::size_t i = 0; i < s.policy.byLevel.size(); ++i) {
             if (i)
                 lv += ',';
-            lv += actionToJson(s.policy.byLevel[i]);
+            actionToJson(lv, s.policy.byLevel[i]);
         }
         lv += ']';
-        p.raw("byLevel", lv);
         p.close();
     }
-    o.raw("policy", pol);
     o.u64("gatingThreshold", s.gatingThreshold);
     o.close();
-    return out;
 }
 
 SpecControlConfig
@@ -750,28 +802,27 @@ specControlFromJson(const JVal &v)
     s.policy.name = pol.at("name").asStr();
     const JVal &lv = pol.at("byLevel");
     if (lv.kind != JVal::Kind::Arr ||
-        lv.arr.size() != s.policy.byLevel.size()) {
+        lv.count != s.policy.byLevel.size()) {
         stsim_fatal("serde: policy.byLevel must have %zu entries",
                     s.policy.byLevel.size());
     }
-    for (std::size_t i = 0; i < s.policy.byLevel.size(); ++i)
-        s.policy.byLevel[i] = actionFromJson(lv.arr[i]);
+    const JVal *e = lv.first();
+    for (std::size_t i = 0; i < s.policy.byLevel.size(); ++i, e = e->next())
+        s.policy.byLevel[i] = actionFromJson(*e);
     s.gatingThreshold = v.at("gatingThreshold").asUnsigned();
     return s;
 }
 
-std::string
-powerToJson(const PowerParams &p)
+void
+powerToJson(std::string &out, const PowerParams &p)
 {
-    std::string out;
     Obj o(out);
     o.str("style", gatingStyleName(p.style));
     o.dbl("idleFactor", p.idleFactor);
     o.dbl("frequencyHz", p.frequencyHz);
-    o.raw("peakWatts", dblArray(p.peakWatts.data(), kNumPUnits));
-    o.raw("ports", dblArray(p.ports.data(), kNumPUnits));
+    dblArray(o.key("peakWatts"), p.peakWatts.data(), kNumPUnits);
+    dblArray(o.key("ports"), p.ports.data(), kNumPUnits);
     o.close();
-    return out;
 }
 
 PowerParams
@@ -786,10 +837,9 @@ powerFromJson(const JVal &v)
     return p;
 }
 
-std::string
-profileToJson(const BenchmarkProfile &p)
+void
+profileToJson(std::string &out, const BenchmarkProfile &p)
 {
-    std::string out;
     Obj o(out);
     o.str("name", p.name);
     o.dbl("targetMissRate", p.targetMissRate);
@@ -824,7 +874,6 @@ profileToJson(const BenchmarkProfile &p)
     o.dbl("biasedTakenFrac", p.biasedTakenFrac);
     o.u64("seed", p.seed);
     o.close();
-    return out;
 }
 
 BenchmarkProfile
@@ -866,10 +915,9 @@ profileFromJson(const JVal &v)
     return p;
 }
 
-std::string
-coreStatsToJson(const CoreStats &c)
+void
+coreStatsToJson(std::string &out, const CoreStats &c)
 {
-    std::string out;
     Obj o(out);
     o.u64("cycles", c.cycles);
     o.u64("committedInsts", c.committedInsts);
@@ -901,7 +949,6 @@ coreStatsToJson(const CoreStats &c)
     o.u64("oracleSelectSkips", c.oracleSelectSkips);
     o.u64("oracleDecodeDrops", c.oracleDecodeDrops);
     o.close();
-    return out;
 }
 
 CoreStats
@@ -1000,7 +1047,7 @@ FlatWriter &
 FlatWriter::str(const char *k, std::string_view value)
 {
     key(k);
-    Obj::appendQuoted(out_, std::string(value));
+    appendQuoted(out_, value);
     return *this;
 }
 
@@ -1008,9 +1055,7 @@ FlatWriter &
 FlatWriter::u64(const char *k, std::uint64_t value)
 {
     key(k);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    out_ += buf;
+    appendU64(out_, value);
     return *this;
 }
 
@@ -1148,64 +1193,149 @@ parseFlat(std::string_view json, std::vector<FlatField> &out)
     return ParseOutcome{false, "malformed flat record"};
 }
 
+void
+appendDoubleHex(std::string &out, double d)
+{
+    // glibc's "%a", byte for byte: the exact value as [-]0xH.HHHp[+-]E
+    // with trailing zero hexits dropped, subnormals as 0x0.HHHp-1022,
+    // zero as 0x0p+0, and inf / nan spelled out.
+    const auto bits = std::bit_cast<std::uint64_t>(d);
+    const unsigned biased = static_cast<unsigned>(bits >> 52) & 0x7ff;
+    std::uint64_t mant = bits & ((std::uint64_t{1} << 52) - 1);
+    if (bits >> 63)
+        out += '-';
+    if (biased == 0x7ff) {
+        out += mant ? "nan" : "inf";
+        return;
+    }
+    out += biased ? "0x1" : "0x0";
+    if (mant) {
+        int hexits = 13;
+        for (; (mant & 0xf) == 0; mant >>= 4)
+            --hexits;
+        char buf[13];
+        for (int i = hexits - 1; i >= 0; --i, mant >>= 4)
+            buf[i] = "0123456789abcdef"[mant & 0xf];
+        out += '.';
+        out.append(buf, hexits);
+    }
+    const int exp = biased ? static_cast<int>(biased) - 1023
+                           : (bits << 1 ? -1022 : 0);
+    out += exp < 0 ? "p-" : "p+";
+    appendU64(out, static_cast<std::uint64_t>(exp < 0 ? -exp : exp));
+}
+
 std::string
 doubleToHex(double d)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", d);
-    return buf;
+    std::string out;
+    appendDoubleHex(out, d);
+    return out;
 }
 
 double
 doubleFromHex(std::string_view s)
 {
-    std::string z(s);
+    // strtod needs a terminated copy; hex-float tokens fit on the stack.
+    char small[64];
+    std::string big;
+    const char *z = small;
+    if (s.size() < sizeof small) {
+        std::memcpy(small, s.data(), s.size());
+        small[s.size()] = '\0';
+    } else {
+        big.assign(s);
+        z = big.c_str();
+    }
     char *end = nullptr;
-    double d = std::strtod(z.c_str(), &end);
-    if (!end || *end != '\0' || z.empty())
-        stsim_fatal("serde: bad double '%s'", z.c_str());
+    double d = std::strtod(z, &end);
+    if (!end || *end != '\0' || s.empty())
+        stsim_fatal("serde: bad double '%s'", z);
     return d;
 }
+
+namespace
+{
+
+// Starting capacities of one encoded record, so the usual record is
+// built without a reallocation.
+constexpr std::size_t kConfigJsonReserve = 4096;
+constexpr std::size_t kResultsJsonReserve = 3072;
+
+void
+configToJson(std::string &out, const SimConfig &cfg)
+{
+    Obj o(out);
+    o.str("benchmark", cfg.benchmark);
+    if (cfg.customProfile)
+        profileToJson(o.key("customProfile"), *cfg.customProfile);
+    o.u64("maxInstructions", cfg.maxInstructions);
+    o.u64("warmupInstructions", cfg.warmupInstructions);
+    o.u64("runSeed", cfg.runSeed);
+    coreToJson(o.key("core"), cfg.core);
+    memoryToJson(o.key("memory"), cfg.memory);
+    o.u64("pipelineDepth", cfg.pipelineDepth);
+    bpredToJson(o.key("bpred"), cfg.bpred);
+    o.str("confKind", confKindName(cfg.confKind));
+    o.u64("confBytes", cfg.confBytes);
+    o.u64("jrsThreshold", cfg.jrsThreshold);
+    bpruParamsToJson(o.key("bpruParams"), cfg.bpruParams);
+    specControlToJson(o.key("specControl"), cfg.specControl);
+    powerToJson(o.key("power"), cfg.power);
+    o.boolean("finalized", cfg.finalized);
+    o.close();
+}
+
+void
+resultsToJson(std::string &out, const SimResults &r)
+{
+    Obj o(out);
+    o.str("benchmark", r.benchmark);
+    o.str("experiment", r.experiment);
+    coreStatsToJson(o.key("core"), r.core);
+    o.dbl("ipc", r.ipc);
+    o.dbl("seconds", r.seconds);
+    o.dbl("avgPowerW", r.avgPowerW);
+    o.dbl("energyJ", r.energyJ);
+    o.dbl("edProduct", r.edProduct);
+    dblArray(o.key("unitEnergyJ"), r.unitEnergyJ.data(), kNumPUnits);
+    dblArray(o.key("unitWastedJ"), r.unitWastedJ.data(), kNumPUnits);
+    dblArray(o.key("unitActivity"), r.unitActivity.data(), kNumPUnits);
+    o.dbl("wastedEnergyJ", r.wastedEnergyJ);
+    o.dbl("condMissRate", r.condMissRate);
+    o.dbl("spec", r.spec);
+    o.dbl("pvn", r.pvn);
+    o.dbl("il1MissRate", r.il1MissRate);
+    o.dbl("dl1MissRate", r.dl1MissRate);
+    o.dbl("l2MissRate", r.l2MissRate);
+    o.close();
+}
+
+} // namespace
 
 std::string
 toJson(const SimConfig &cfg)
 {
     std::string out;
-    Obj o(out);
-    o.str("benchmark", cfg.benchmark);
-    if (cfg.customProfile)
-        o.raw("customProfile", profileToJson(*cfg.customProfile));
-    o.u64("maxInstructions", cfg.maxInstructions);
-    o.u64("warmupInstructions", cfg.warmupInstructions);
-    o.u64("runSeed", cfg.runSeed);
-    o.raw("core", coreToJson(cfg.core));
-    o.raw("memory", memoryToJson(cfg.memory));
-    o.u64("pipelineDepth", cfg.pipelineDepth);
-    o.raw("bpred", bpredToJson(cfg.bpred));
-    o.str("confKind", confKindName(cfg.confKind));
-    o.u64("confBytes", cfg.confBytes);
-    o.u64("jrsThreshold", cfg.jrsThreshold);
-    o.raw("bpruParams", bpruParamsToJson(cfg.bpruParams));
-    o.raw("specControl", specControlToJson(cfg.specControl));
-    o.raw("power", powerToJson(cfg.power));
-    o.boolean("finalized", cfg.finalized);
-    o.close();
+    out.reserve(kConfigJsonReserve);
+    configToJson(out, cfg);
     return out;
 }
 
 SimConfig
 configFromJson(std::string_view json)
 {
-    return configFromJVal(Parser(json).parse());
+    return configFromJVal(Parser(json).parse().root());
 }
 
 std::string
 toJson(const SimJob &job)
 {
     std::string out;
+    out.reserve(kConfigJsonReserve);
     Obj o(out);
     o.str("experiment", job.experiment);
-    o.raw("cfg", toJson(job.cfg));
+    configToJson(o.key("cfg"), job.cfg);
     o.close();
     return out;
 }
@@ -1213,7 +1343,8 @@ toJson(const SimJob &job)
 SimJob
 jobFromJson(std::string_view json)
 {
-    JVal v = Parser(json).parse();
+    const JDoc doc = Parser(json).parse();
+    const JVal &v = doc.root();
     SimJob j;
     j.experiment = v.at("experiment").asStr();
     j.cfg = configFromJVal(v.at("cfg"));
@@ -1228,7 +1359,8 @@ parseServeRequest(std::string_view json, ServeRequest &out)
     // below -- one request frame can never take the daemon down.
     FatalCaptureScope scope;
     try {
-        JVal v = Parser(json).parse();
+        const JDoc doc = Parser(json).parse();
+        const JVal &v = doc.root();
         out = ServeRequest{};
         if (const JVal *id = v.find("id"))
             out.id = id->asU64();
@@ -1245,8 +1377,9 @@ parseServeRequest(std::string_view json, ServeRequest &out)
                 out.metrics = true;
                 return ParseOutcome{};
             }
-            return ParseOutcome{false,
-                                "unknown op '" + op->asStr() + "'"};
+            return ParseOutcome{false, "unknown op '" +
+                                           std::string(op->asStr()) +
+                                           "'"};
         }
         if (const JVal *dl = v.find("deadlineMs"))
             out.deadlineMs = dl->asU64();
@@ -1299,42 +1432,25 @@ std::string
 toJson(const SimResults &r)
 {
     std::string out;
-    Obj o(out);
-    o.str("benchmark", r.benchmark);
-    o.str("experiment", r.experiment);
-    o.raw("core", coreStatsToJson(r.core));
-    o.dbl("ipc", r.ipc);
-    o.dbl("seconds", r.seconds);
-    o.dbl("avgPowerW", r.avgPowerW);
-    o.dbl("energyJ", r.energyJ);
-    o.dbl("edProduct", r.edProduct);
-    o.raw("unitEnergyJ", dblArray(r.unitEnergyJ.data(), kNumPUnits));
-    o.raw("unitWastedJ", dblArray(r.unitWastedJ.data(), kNumPUnits));
-    o.raw("unitActivity", dblArray(r.unitActivity.data(), kNumPUnits));
-    o.dbl("wastedEnergyJ", r.wastedEnergyJ);
-    o.dbl("condMissRate", r.condMissRate);
-    o.dbl("spec", r.spec);
-    o.dbl("pvn", r.pvn);
-    o.dbl("il1MissRate", r.il1MissRate);
-    o.dbl("dl1MissRate", r.dl1MissRate);
-    o.dbl("l2MissRate", r.l2MissRate);
-    o.close();
+    out.reserve(kResultsJsonReserve);
+    resultsToJson(out, r);
     return out;
 }
 
 SimResults
 resultsFromJson(std::string_view json)
 {
-    return resultsFromJVal(Parser(json).parse());
+    return resultsFromJVal(Parser(json).parse().root());
 }
 
 std::string
 resultRecordToJson(std::uint64_t index, const SimResults &r)
 {
     std::string out;
+    out.reserve(kResultsJsonReserve);
     Obj o(out);
     o.u64("index", index);
-    o.raw("results", toJson(r));
+    resultsToJson(o.key("results"), r);
     o.close();
     return out;
 }
@@ -1342,7 +1458,8 @@ resultRecordToJson(std::uint64_t index, const SimResults &r)
 std::pair<std::uint64_t, SimResults>
 resultRecordFromJson(std::string_view json)
 {
-    JVal v = Parser(json).parse();
+    const JDoc doc = Parser(json).parse();
+    const JVal &v = doc.root();
     return {v.at("index").asU64(), resultsFromJVal(v.at("results"))};
 }
 
@@ -1367,8 +1484,7 @@ resultRecordIndex(std::string_view json)
             return v;
         }
     }
-    JVal v = Parser(json).parse();
-    return v.at("index").asU64();
+    return Parser(json).parse().root().at("index").asU64();
 }
 
 } // namespace serde

@@ -162,6 +162,9 @@ ParseOutcome parseResults(std::string_view json, SimResults &out);
 /** Bit-exact hex-float encoding of a double ("%a"). */
 std::string doubleToHex(double d);
 
+/** Append doubleToHex(d) to @p out without a temporary string. */
+void appendDoubleHex(std::string &out, double d);
+
 /** Inverse of doubleToHex; also accepts plain decimal doubles. */
 double doubleFromHex(std::string_view s);
 

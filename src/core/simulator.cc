@@ -254,12 +254,21 @@ Simulator::runVariants(std::span<const SimConfig *const> variants,
 
     // Flush the core's plain hot-path counters into the process-wide
     // registry once per trajectory; the pipeline itself never touches
-    // an atomic, and results are unaffected (observability only).
+    // an atomic, and results are unaffected (observability only). The
+    // counters are registered once: registration takes the registry
+    // mutex, and a served request is one trajectory.
+    struct HotFlush
+    {
+        obs::Counter &fetchGroups, &producerHits, &producerMisses;
+    };
+    static const HotFlush flush{
+        obs::Registry::instance().counter("core.fetch_groups"),
+        obs::Registry::instance().counter("core.producer_table_hits"),
+        obs::Registry::instance().counter("core.producer_table_misses")};
     const Core::HotCounters &h = core_->hotCounters();
-    obs::Registry &reg = obs::Registry::instance();
-    reg.counter("core.fetch_groups").inc(h.fetchGroups);
-    reg.counter("core.producer_table_hits").inc(h.producerHits);
-    reg.counter("core.producer_table_misses").inc(h.producerMisses);
+    flush.fetchGroups.inc(h.fetchGroups);
+    flush.producerHits.inc(h.producerHits);
+    flush.producerMisses.inc(h.producerMisses);
 }
 
 SimResults

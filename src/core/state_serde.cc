@@ -79,7 +79,7 @@ StateWriter::dbl(const char *key, double v)
 {
     out_ += key;
     out_ += ' ';
-    out_ += doubleToHex(v);
+    appendDoubleHex(out_, v);
     out_ += '\n';
 }
 
@@ -117,7 +117,7 @@ StateWriter::dblArray(const char *key, const double *v, std::size_t n)
     out_ += std::to_string(n);
     for (std::size_t i = 0; i < n; ++i) {
         out_ += ' ';
-        out_ += doubleToHex(v[i]);
+        appendDoubleHex(out_, v[i]);
     }
     out_ += '\n';
 }

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <optional>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -638,6 +639,9 @@ SimServer::runJob(const std::shared_ptr<Conn> &c,
     bool ok = false;
     bool cancelled = false;
     std::string detail;
+    // Torn down only after the reply has gone to the writer: freeing
+    // the machine's tables is not on the request's critical path.
+    std::optional<Simulator> sim;
     try {
         // Hostile configs can stsim_fatal() arbitrarily deep (config
         // validation, unknown benchmark/policy names); the capture
@@ -645,12 +649,12 @@ SimServer::runJob(const std::shared_ptr<Conn> &c,
         FatalCaptureScope scope;
         if (inf->token->cancelled())
             throw JobCancelled();
-        Simulator sim(inf->job.cfg);
+        sim.emplace(inf->job.cfg);
         SimResults r;
         {
             TRACE_SPAN("serve.sim");
             auto simStart = std::chrono::steady_clock::now();
-            r = sim.run(inf->token.get());
+            r = sim->run(inf->token.get());
             simTimeUs_.observe(elapsedUs(simStart));
         }
         r.experiment = inf->job.experiment;

@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 
 #include "core/experiment.hh"
 #include "core/job_serde.hh"
@@ -47,6 +52,46 @@ TEST(DoubleHex, RoundTripsAwkwardValues)
     }
     // Decimal doubles are accepted too (hand-written manifests).
     EXPECT_EQ(serde::doubleFromHex("1.5"), 1.5);
+}
+
+TEST(DoubleHex, FormatterMatchesPrintfByteForByte)
+{
+    // The hex-float writer is pinned to glibc's "%a": every double on
+    // the wire, in a result or in a snapshot must keep its bytes.
+    auto check = [](double d) {
+        char ref[64];
+        std::snprintf(ref, sizeof ref, "%a", d);
+        const std::string got = serde::doubleToHex(d);
+        const auto bits = std::bit_cast<std::uint64_t>(d);
+        ASSERT_EQ(got, ref) << "bits 0x" << std::hex << bits;
+        const double back = serde::doubleFromHex(got);
+        if (std::isnan(d)) {
+            // "%a" drops a NaN's payload; its sign survives.
+            ASSERT_TRUE(std::isnan(back)) << got;
+            ASSERT_EQ(std::signbit(back), std::signbit(d)) << got;
+        } else {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(back), bits) << got;
+        }
+    };
+    using Lim = std::numeric_limits<double>;
+    for (double d :
+         {0.0, -0.0, Lim::infinity(), -Lim::infinity(), Lim::quiet_NaN(),
+          -Lim::quiet_NaN(), Lim::denorm_min(), -Lim::denorm_min(),
+          DBL_MIN - Lim::denorm_min() /* largest subnormal */,
+          -(DBL_MIN - Lim::denorm_min()), DBL_MIN, -DBL_MIN, DBL_MAX,
+          -DBL_MAX, 1.0, 0.1, 1.0 / 3.0}) {
+        check(d);
+    }
+    for (int e = -1074; e <= 1023; ++e) {
+        check(std::ldexp(1.0, e));
+        check(-std::ldexp(1.0, e));
+    }
+    std::mt19937_64 rng(0x5eed);
+    for (int i = 0; i < 1'000'000; ++i) {
+        check(std::bit_cast<double>(rng()));
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
 }
 
 TEST(ConfigSerde, DefaultConfigReserializesByteIdentically)
@@ -230,6 +275,33 @@ TEST(SerdeDeath, MalformedInputIsFatal)
                 ::testing::ExitedWithCode(1), "");
     EXPECT_EXIT(serde::doubleFromHex("bogus"),
                 ::testing::ExitedWithCode(1), "bad double");
+}
+
+TEST(SerdeDeath, IntegerTokensKeepStrtoullRules)
+{
+    // Unsigned fields accept an optional '+' and saturate at 2^64-1;
+    // a sign, a fraction or an exponent is rejected with the token.
+    SimJob j;
+    j.cfg.benchmark = "go";
+    const std::string rec = serde::toJson(j);
+    const std::string key = "\"maxInstructions\":";
+    const std::size_t at = rec.find(key) + key.size();
+    auto withMax = [&](const std::string &token) {
+        std::string s = rec;
+        s.replace(at, s.find(',', at) - at, token);
+        return s;
+    };
+    SimJob out;
+    ASSERT_TRUE(serde::parseJob(withMax("+7"), out));
+    EXPECT_EQ(out.cfg.maxInstructions, 7u);
+    ASSERT_TRUE(serde::parseJob(withMax("18446744073709551616"), out));
+    EXPECT_EQ(out.cfg.maxInstructions, UINT64_MAX);
+    serde::ParseOutcome p = serde::parseJob(withMax("-1"), out);
+    EXPECT_EQ(p.error, "serde: bad integer '-1' (must be unsigned)");
+    p = serde::parseJob(withMax("1e5"), out);
+    EXPECT_EQ(p.error, "serde: bad integer '1e5'");
+    p = serde::parseJob(withMax("+"), out);
+    EXPECT_EQ(p.error, "serde: bad integer '+'");
 }
 
 TEST(ServeRequestSerde, ManifestRecordParsesWithDefaults)

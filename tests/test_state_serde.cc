@@ -9,11 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
+#include "core/experiment.hh"
 #include "core/job_serde.hh"
 #include "core/parallel_harness.hh"
 #include "core/results_sink.hh"
@@ -276,6 +283,73 @@ TEST(Snapshot, SaveLoadSaveIsIdentity)
     Simulator b(cfg);
     b.restoreSnapshot(snap);
     EXPECT_EQ(snap, b.saveSnapshot());
+}
+
+TEST(Snapshot, FreshMachineOnDirtiedHeapIsIdentical)
+{
+    // Machine tables are bulk-filled from uninitialized storage, so an
+    // entry the fill missed would inherit whatever bytes the allocator
+    // hands back. ASan cannot see such a read (and MSan is not
+    // available with g++), so build each serve-shaped machine once as
+    // is and once on memory just churned with 0xA5-filled blocks of
+    // the machine's table sizes: the fresh snapshot image and the run
+    // result must not change.
+    static constexpr std::size_t kTableBytes[] = {
+        393216,        // L2 lines: 16 Ki x 24 B
+        65536,         // gshare PHT: 32 Ki x 2 B
+        49152, 49152,  // IL1 / DL1 lines, BPRU entries
+        32768, 32768,  // BTB entries, JRS counters
+        4096, 1024};   // MRU way hints
+#ifdef __GLIBC__
+    // Keep freed blocks in this process's heap -- no trimming back to
+    // the OS, no mmap for table-sized blocks -- so the churn reaches
+    // the allocations of the machine built after it.
+    mallopt(M_TRIM_THRESHOLD, 256 << 20);
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+#endif
+    for (const char *bench : {"go", "gcc", "compress", "twolf"}) {
+        for (const char *exp : {"baseline", "C2", "PG"}) {
+            SimConfig cfg;
+            cfg.benchmark = bench;
+            cfg.maxInstructions = 1'000;
+            cfg.warmupInstructions = 0;
+            Experiment::byName(exp).applyTo(cfg);
+            std::string image, result;
+            {
+                Simulator clean(cfg);
+                image = clean.saveSnapshot();
+                result = fingerprint(clean.run());
+            }
+
+            std::vector<void *> blocks;
+            for (std::size_t n : kTableBytes) {
+                for (int k = 0; k < 2; ++k) {
+                    void *p = std::malloc(n);
+                    std::memset(p, 0xA5, n);
+                    // Keep the fill: the block is freed unread.
+                    asm volatile("" : : "r"(p) : "memory");
+                    blocks.push_back(p);
+                }
+            }
+            for (void *p : blocks)
+                std::free(p);
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+            // The churn must reach the allocator: the next table-sized
+            // block comes back dirty (sanitizer allocators quarantine
+            // freed blocks instead).
+            auto *probe = static_cast<unsigned char *>(
+                std::malloc(kTableBytes[0]));
+            EXPECT_EQ(probe[kTableBytes[0] / 2], 0xA5);
+            std::free(probe);
+#endif
+
+            Simulator dirty(cfg);
+            EXPECT_EQ(dirty.saveSnapshot(), image) << bench << "/" << exp;
+            EXPECT_EQ(fingerprint(dirty.run()), result)
+                << bench << "/" << exp;
+        }
+    }
 }
 
 TEST(Snapshot, ForkMayChangeRunLengthAndPower)
